@@ -25,7 +25,6 @@ from .analysis import (
     cross_validate,
     invariant_slopes,
     nonschurian_criterion,
-    partition_preserving_maps,
     schurian_test,
     verify_slope_closure,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "nonschurian_criterion",
     "one_class_partition",
     "parse_field_literal",
-    "partition_preserving_maps",
     "schurian_test",
     "singleton_partition",
     "singleton_slopes",

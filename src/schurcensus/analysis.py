@@ -80,8 +80,9 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     of 0 inside the automorphism group of its Cayley color graph.
 
     Raises ValueError for bases that flunk the Schur axioms and
-    InconsistencyError if the stabilizer orbits fail to refine the classes
-    (impossible unless the machinery itself is broken).
+    InconsistencyError if the group is not transitive or the stabilizer
+    orbits fail to refine the classes (impossible unless the machinery
+    itself is broken, for instance a search that lost generators).
     """
     check = verify_schur_axioms(basis)
     if not check.ok:
@@ -89,6 +90,11 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     graph = cayley_color_graph(basis)
     aut = automorphism_group(graph, cap=cap)
     stab = aut.point_stabilizer(0)
+    aut_order, stab_order = aut.order(), stab.order()
+    if aut_order != basis.field.q ** 2 * stab_order:
+        raise InconsistencyError(
+            f"automorphism group of order {aut_order} is not transitive: "
+            f"its stabilizer of 0 has order {stab_order}")
     orbits = stab.orbits()
     for orbit in orbits:
         marks = {int(basis.class_of[v]) for v in orbit}
@@ -97,8 +103,8 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
                 f"stabilizer orbit {orbit} straddles classes {sorted(marks)}")
     return OracleReport(
         schurian=orbits == basis.blocks,
-        aut_order=aut.order(),
-        stabilizer_order=stab.order(),
+        aut_order=aut_order,
+        stabilizer_order=stab_order,
         stabilizer_orbits=orbits,
         classes=basis.blocks,
     )
@@ -322,21 +328,6 @@ def line_fixing_maps(field: Field, *, gl_cap: int = DEFAULT_GL_CAP) -> Iterator[
         sigma[:e, :e] = a
         sigma[e:, e:] = a
         yield sigma
-
-
-def partition_preserving_maps(pi: LinePartition, *,
-                              gl_cap: int = DEFAULT_GL_CAP) -> list[np.ndarray]:
-    """The matrices in GL(2e, p) fixing every induced point class setwise
-    (linear maps turn class preservation into color preservation, since
-    sigma(u) - sigma(v) = sigma(u - v))."""
-    field = pi.field
-    class_of = SchurBasis.from_partition(pi).class_of
-    out = []
-    for sigma in gl_matrices(field.p, 2 * field.e, gl_cap=gl_cap):
-        perm = matrix_point_permutation(field, sigma)
-        if np.array_equal(class_of[perm], class_of):
-            out.append(sigma)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Permutations on n points live as numpy index arrays: p[x] is the image of
 x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
 Schreier-Sims chain along the fixed base 0, 1, ..., n-1 (most levels stay
-trivial), which gives exact orders as big integers, fast membership
-sifting, and point stabilizers via Schreier generators.
+trivial), which gives exact orders as big integers and fast membership
+sifting.  The levels below level 0 are already a chain for the stabilizer
+of 0, so ``point_stabilizer(0)`` shares them instead of building anew.
 
 ``automorphism_group`` computes the full automorphism group of a
 ``ColorGraph`` by individualization and refinement.  The refinement is a
@@ -16,7 +17,11 @@ canonical reference; sibling branches are cut by color histogram mismatch,
 abandoned as soon as one automorphism is found, and skipped entirely when
 an already known generator maps a previously handled sibling onto them.
 Every reported generator passes an exhaustive color-preservation check, so
-a refinement bug can cost time but never soundness.
+the group found is never too big.  A wrongly pruned branch can still lose
+generators and leave it too small; its stabilizer orbits then split a
+class and would give a false non-schurian verdict.  ``schurian_test`` in
+``analysis`` therefore refuses a group that is not transitive, as the
+automorphism group of a Cayley graph must be.
 """
 
 from __future__ import annotations
@@ -66,6 +71,21 @@ def as_permutation(n: int, seq) -> np.ndarray:
 # Schreier-Sims chains
 # ---------------------------------------------------------------------------
 
+def _orbit(seeds, gens) -> dict[int, tuple[int, np.ndarray] | None]:
+    """The orbit of ``seeds`` under ``gens`` in breadth-first order, as a
+    Schreier tree: each point maps to the (predecessor, generator) pair
+    that first reached it, and each seed to None."""
+    tree: dict[int, tuple[int, np.ndarray] | None] = dict.fromkeys(seeds)
+    queue = list(tree)
+    for beta in queue:
+        for g in gens:
+            gamma = int(g[beta])
+            if gamma not in tree:
+                tree[gamma] = (beta, g)
+                queue.append(gamma)
+    return tree
+
+
 class PermGroup:
     """A permutation group on 0..degree-1 with a stabilizer chain along
     the base 0, 1, ..., degree-1.
@@ -73,7 +93,8 @@ class PermGroup:
     The chain level i holds the orbit of i under the subgroup fixing
     0..i-1 pointwise, with a transversal permutation per orbit point.
     ``generators`` keeps the input generators that actually enlarged the
-    group, in order of arrival.
+    group, in order of arrival; for a point stabilizer, the strong
+    generators of its chain.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -110,20 +131,15 @@ class PermGroup:
         Schreier generator through the deeper levels.  Returns the level
         that received a new generator, or None once level i is closed."""
         gens = self._strong_gens_from(i)
-        trans: dict[int, np.ndarray] = {i: identity_perm(self.degree)}
-        order = [i]
-        qi = 0
-        while qi < len(order):
-            beta = order[qi]
-            qi += 1
-            for g in gens:
-                gamma = int(g[beta])
-                if gamma not in trans:
-                    trans[gamma] = compose(g, trans[beta])
-                    order.append(gamma)
+        trans: dict[int, np.ndarray] = {}
+        for beta, edge in _orbit([i], gens).items():
+            if edge is None:
+                trans[beta] = identity_perm(self.degree)
+            else:
+                prev, g = edge
+                trans[beta] = compose(g, trans[prev])
         self._trans[i] = trans
-        for beta in order:
-            ub = trans[beta]
+        for beta, ub in trans.items():
             for g in gens:
                 s = compose(inverse_perm(trans[int(g[beta])]), compose(g, ub))
                 if is_identity(s):
@@ -162,51 +178,35 @@ class PermGroup:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         gens = self._strong_gens_from(0)
-        seen = np.zeros(self.degree, dtype=bool)
+        seen: set[int] = set()
         out = []
         for v in range(self.degree):
-            if seen[v]:
-                continue
-            comp = [v]
-            seen[v] = True
-            qi = 0
-            while qi < len(comp):
-                beta = comp[qi]
-                qi += 1
-                for g in gens:
-                    gamma = int(g[beta])
-                    if not seen[gamma]:
-                        seen[gamma] = True
-                        comp.append(gamma)
-            out.append(tuple(sorted(comp)))
+            if v not in seen:
+                orbit = _orbit([v], gens)
+                seen.update(orbit)
+                out.append(tuple(sorted(orbit)))
         return tuple(out)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """The subgroup fixing ``point``, generated by the Schreier
-        generators of its orbit, thinned to the ones that enlarge it."""
+        """The subgroup fixing ``point``.
+
+        For point 0 this is the tail of the chain: the levels >= 1 already
+        form a chain for the stabilizer of the first base point, so they
+        are shared, and level 0 is left trivial.  Any other point swaps
+        places with 0 by conjugation, takes that tail and swaps back."""
         if not 0 <= point < self.degree:
             raise ValueError(f"no point {point} in degree {self.degree}")
-        gens = self._strong_gens_from(0)
-        trans = {point: identity_perm(self.degree)}
-        order = [point]
-        qi = 0
-        while qi < len(order):
-            beta = order[qi]
-            qi += 1
-            for g in gens:
-                gamma = int(g[beta])
-                if gamma not in trans:
-                    trans[gamma] = compose(g, trans[beta])
-                    order.append(gamma)
+        if point != 0:
+            swap = identity_perm(self.degree)
+            swap[[0, point]] = point, 0
+            moved = PermGroup(self.degree,
+                              [swap[g[swap]] for g in self.generators])
+            return PermGroup(self.degree, [swap[g[swap]] for g in
+                                           moved.point_stabilizer(0).generators])
         stab = PermGroup(self.degree)
-        kept = []
-        for beta in order:
-            ub = trans[beta]
-            for g in gens:
-                s = compose(inverse_perm(trans[int(g[beta])]), compose(g, ub))
-                if not is_identity(s) and stab._extend(s):
-                    kept.append(s)
-        stab.generators = tuple(kept)
+        stab._gens_at = [[]] + [list(gens) for gens in self._gens_at[1:]]
+        stab._trans = [None] + self._trans[1:]
+        stab.generators = tuple(stab._strong_gens_from(1))
         return stab
 
     def __repr__(self) -> str:
@@ -285,25 +285,9 @@ def _known_maps_to(w: int, tried: list[int], gens: list[np.ndarray],
                    fixed: list[int]) -> bool:
     """True when some product of known generators fixing ``fixed``
     pointwise sends a vertex in ``tried`` to w."""
-    if not gens:
-        return False
     anchor = np.asarray(fixed, dtype=np.int32)
-    keep = [g for g in gens
-            if anchor.size == 0 or np.array_equal(g[anchor], anchor)]
-    if not keep:
-        return False
-    seen = set(tried)
-    frontier = list(tried)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for g in keep:
-                gamma = int(g[beta])
-                if gamma not in seen:
-                    seen.add(gamma)
-                    nxt.append(gamma)
-        frontier = nxt
-    return w in seen
+    keep = [g for g in gens if np.array_equal(g[anchor], anchor)]
+    return w in _orbit(tried, keep)
 
 
 def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> PermGroup:

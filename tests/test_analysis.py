@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from schurcensus import make_field
-from schurcensus.errors import SizingError
+from schurcensus import analysis, make_field
+from schurcensus.errors import InconsistencyError, SizingError
 from schurcensus.lines import (
     LinePartition,
     all_slopes,
@@ -30,12 +30,11 @@ from schurcensus.analysis import (
     line_fixing_maps,
     matrix_point_permutation,
     nonschurian_criterion,
-    partition_preserving_maps,
     schurian_test,
     translation_perms,
     verify_slope_closure,
 )
-from schurcensus.perms import automorphism_group
+from schurcensus.perms import PermGroup, automorphism_group
 
 
 def diag_embed(field, block):
@@ -111,6 +110,17 @@ def test_oracle_rejects_broken_bases():
     rest = sorted(set(range(25)) - {0, 5, 10, 15, 20})
     with pytest.raises(ValueError, match="S2"):
         schurian_test(SchurBasis(field, [[0], [5, 10], [15, 20], rest]))
+
+
+def test_oracle_rejects_an_intransitive_group(monkeypatch):
+    # a search that lost its generators must not pass for a verdict: the
+    # one-class ring of 3^1 is schurian, but a trivial group would call it
+    # non-schurian with |Aut| = 1
+    monkeypatch.setattr(analysis, "automorphism_group",
+                        lambda graph, cap: PermGroup(graph.n))
+    basis = SchurBasis.from_partition(one_class_partition(make_field(3, 1)))
+    with pytest.raises(InconsistencyError, match="not transitive"):
+        schurian_test(basis)
 
 
 def test_oracle_cap():
@@ -293,43 +303,6 @@ def test_gl_cap():
 def test_gl_first_matrix_is_deterministic():
     first = next(iter(gl_matrices(3, 2)))
     assert first.tolist() == [[0, 1], [1, 0]]
-
-
-# ---------------------------------------------------------------------------
-# partition-preserving linear maps
-# ---------------------------------------------------------------------------
-
-def test_partition_preserving_maps_scalars_only():
-    field = make_field(5, 1)
-    maps = partition_preserving_maps(wielandt_partition(field))
-    assert len(maps) == 4
-    for sigma in maps:
-        assert sigma[0, 1] == sigma[1, 0] == 0 and sigma[0, 0] == sigma[1, 1]
-
-
-def test_partition_preserving_maps_one_class_is_everything():
-    field = make_field(3, 1)
-    assert len(partition_preserving_maps(one_class_partition(field))) \
-        == gl_order(3, 2)
-
-
-def test_partition_preserving_maps_cap():
-    field = make_field(3, 2)
-    with pytest.raises(SizingError):
-        partition_preserving_maps(singleton_partition(field))
-
-
-def test_partition_preserving_maps_fix_every_singleton_line():
-    # a singleton class is a whole punctured line, so any class-preserving
-    # map must carry that line onto itself
-    field = make_field(5, 1)
-    for pi in (wielandt_partition(field),
-               singleton_partition(field),
-               LinePartition(field, [[0], [1], [2], [5], [3, 4]])):
-        marked = singleton_slopes(pi)
-        assert {0, 1, 5} <= marked
-        for sigma in partition_preserving_maps(pi):
-            assert marked <= invariant_slopes(field, sigma)
 
 
 # ---------------------------------------------------------------------------

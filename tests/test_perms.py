@@ -115,13 +115,22 @@ def test_point_stabilizer_symmetric():
 
 
 def test_point_stabilizer_matches_closure():
+    # point 0 takes the chain tail, every other point the conjugation path
+    import itertools
+    everything = list(itertools.permutations(range(6)))
     rng = np.random.default_rng(11)
     for _ in range(6):
         gens = [tuple(rng.permutation(6)) for _ in range(2)]
         group = PermGroup(6, gens)
         closure = naive.perm_closure(gens)
-        stab = group.point_stabilizer(0)
-        assert stab.order() == sum(1 for p in closure if p[0] == 0)
+        for point in range(6):
+            fixing = {p for p in closure if p[point] == point}
+            stab = group.point_stabilizer(point)
+            assert stab.order() == len(fixing)
+            assert stab.orbits() == tuple(sorted(
+                {tuple(sorted({p[x] for p in fixing})) for x in range(6)}))
+            for p in everything:
+                assert (p in stab) == (p in fixing)
     assert PermGroup(5, [[1, 2, 3, 4, 0]]).point_stabilizer(0).order() == 1
     with pytest.raises(ValueError):
         sym_group(4).point_stabilizer(4)

@@ -14,6 +14,13 @@ a subfield can never be schurian.  ``census`` streams the partitions the
 prediction applies to, and ``cross_validate`` runs the oracle against the
 prediction, raising ``InconsistencyError`` the moment they disagree.
 
+A semilinear map of V fixes 0 and permutes the lines, so it carries the
+Cayley color graph of a partition onto that of its image: the oracle
+verdict and |Aut| are constant on PGammaL(2, q)-orbits of partitions, while
+the prediction, which pins 0, 1 and infinity, is not.  ``cross_validate``
+therefore runs the oracle once per orbit, on the orbit's first partition
+in enumeration order, and evaluates the prediction on every partition.
+
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
 equal diagonal blocks, and the finite slopes it fixes form a subfield.
@@ -23,7 +30,9 @@ concatenated), so composition reads left to right.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import logging
 import math
 import multiprocessing
 import os
@@ -35,6 +44,7 @@ from .errors import InconsistencyError, SizingError
 from .gf import Field, field_from_literal
 from .lines import (
     LinePartition,
+    OrbitKeys,
     all_slopes,
     condition_holds,
     enumerate_partitions,
@@ -47,6 +57,8 @@ from .perms import DEFAULT_ORACLE_CAP  # noqa: F401  (re-exported knob)
 from .schur import SchurBasis, group_tables, verify_schur_axioms
 
 DEFAULT_GL_CAP = 10 ** 7  # refuse to enumerate larger general linear groups
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,14 @@ def translation_perms(field: Field) -> list[np.ndarray]:
     return [add[:, t].astype(np.int32) for t in range(add.shape[0])]
 
 
+def scalar_perms(field: Field) -> list[np.ndarray]:
+    """The maps (x, y) -> (ax, ay), one per a != 0; they fix every line."""
+    mul = field.mul_table()
+    x, y = np.divmod(np.arange(field.q ** 2), field.q)
+    return [(mul[a, x] * field.q + mul[a, y]).astype(np.int32)
+            for a in field.units()]
+
+
 class OracleReport(NamedTuple):
     schurian: bool
     aut_order: int
@@ -80,9 +100,11 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     of 0 inside the automorphism group of its Cayley color graph.
 
     Raises ValueError for bases that flunk the Schur axioms and
-    InconsistencyError if the group is not transitive or the stabilizer
-    orbits fail to refine the classes (impossible unless the machinery
-    itself is broken, for instance a search that lost generators).
+    InconsistencyError if the group is not transitive, misses a
+    translation or a scalar map (automorphisms of every such graph), or
+    its stabilizer orbits fail to refine the classes (impossible unless
+    the machinery itself is broken, for instance a search that lost
+    generators).
     """
     check = verify_schur_axioms(basis)
     if not check.ok:
@@ -95,6 +117,14 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
         raise InconsistencyError(
             f"automorphism group of order {aut_order} is not transitive: "
             f"its stabilizer of 0 has order {stab_order}")
+    field = basis.field
+    missing = [f"the translation by point {t}"
+               for t, g in enumerate(translation_perms(field)) if g not in aut]
+    missing += [f"the scalar map by {a}"
+                for a, g in zip(field.units(), scalar_perms(field)) if g not in aut]
+    if missing:
+        raise InconsistencyError(
+            f"automorphism group of order {aut_order} misses {missing[0]}")
     orbits = stab.orbits()
     for orbit in orbits:
         marks = {int(basis.class_of[v]) for v in orbit}
@@ -381,15 +411,11 @@ class CrossValidation(NamedTuple):
     rows: tuple[CrossRow, ...]
 
 
-def _cross_row(pi: LinePartition, oracle_cap: int) -> CrossRow:
-    report = schurian_test(SchurBasis.from_partition(pi), cap=oracle_cap)
-    return CrossRow(str(pi), condition_holds(pi), report.schurian, report.aut_order)
-
-
-def _cross_worker(payload) -> CrossRow:
+def _oracle_worker(payload) -> tuple[bool, int]:
     literal, classes, oracle_cap = payload
-    field = field_from_literal(literal)
-    return _cross_row(LinePartition(field, classes), oracle_cap)
+    pi = LinePartition(field_from_literal(literal), classes)
+    report = schurian_test(SchurBasis.from_partition(pi), cap=oracle_cap)
+    return report.schurian, report.aut_order
 
 
 def default_workers() -> int:
@@ -404,9 +430,12 @@ def cross_validate(field: Field, *, scope: str = "all",
     """Run the schurian oracle against the prediction over a whole field.
 
     scope "all" examines every partition of the slopes; scope "filtered"
-    only the ones the prediction covers.  The moment a predicted partition
-    comes back schurian the whole run aborts with InconsistencyError.
-    Results are in enumeration order whatever the worker count.
+    only the ones the prediction covers.  The oracle runs once per
+    PGammaL(2, q)-orbit, on the orbit's first partition, and its verdict
+    and |Aut| stand for every partition of the orbit.  The moment an orbit
+    holding a predicted partition comes back schurian the whole run aborts
+    with InconsistencyError, naming the first such partition.  Results
+    are in enumeration order whatever the worker count.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -418,16 +447,38 @@ def cross_validate(field: Field, *, scope: str = "all",
         source = enumerate_partitions(field, census_cap=census_cap)
     else:
         source = enumerate_partitions(field, condition_holds, census_cap=census_cap)
+    orbit_key = OrbitKeys(field)
+    entries = []  # (partition, orbit key, predicted) in enumeration order
+    representative: dict = {}
+    first_predicted: dict = {}
+    for pi in source:
+        key = orbit_key(pi.classes)
+        predicts = scope == "filtered" or condition_holds(pi)
+        entries.append((pi, key, predicts))
+        representative.setdefault(key, pi)
+        if predicts:
+            first_predicted.setdefault(key, pi)
+    logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
+                field.literal, scope, len(entries), len(representative))
+
+    payloads = [(field.literal, pi.classes, oracle_cap)
+                for pi in representative.values()]
     workers = default_workers() if workers is None else max(1, int(workers))
+    workers = min(workers, len(payloads))
+    verdicts: dict = {}
+    with (multiprocessing.Pool(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        produced = (pool.imap(_oracle_worker, payloads) if pool
+                    else map(_oracle_worker, payloads))
+        for key, verdict in zip(representative, produced):
+            if verdict[0] and key in first_predicted:
+                raise InconsistencyError(
+                    f"partition {first_predicted[key]} is predicted "
+                    f"non-schurian but the oracle finds it schurian")
+            verdicts[key] = verdict
 
-    if workers == 1:
-        produced: Iterator[CrossRow] = (_cross_row(pi, oracle_cap) for pi in source)
-        rows = _collect_rows(produced)
-    else:
-        payloads = ((field.literal, pi.classes, oracle_cap) for pi in source)
-        with multiprocessing.Pool(workers) as pool:
-            rows = _collect_rows(pool.imap(_cross_worker, payloads, chunksize=8))
-
+    rows = [CrossRow(str(pi), predicts, *verdicts[key])
+            for pi, key, predicts in entries]
     return CrossValidation(
         field=field.literal,
         scope=scope,
@@ -438,14 +489,3 @@ def cross_validate(field: Field, *, scope: str = "all",
         unpredicted_schurian=sum(not r.predicts and r.schurian for r in rows),
         rows=tuple(rows),
     )
-
-
-def _collect_rows(produced) -> list[CrossRow]:
-    rows = []
-    for row in produced:
-        if row.predicts and row.schurian:
-            raise InconsistencyError(
-                f"partition {row.partition} is predicted non-schurian but "
-                f"the oracle finds it schurian")
-        rows.append(row)
-    return rows

@@ -12,6 +12,11 @@ back to the union of its punctured lines (and adding the origin as its own
 cell) induces a partition of V that downstream modules turn into a Schur
 ring basis.  The distinguished slope set M of a partition collects the
 slopes whose class is a singleton.
+
+Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
+slopes and on their partitions.  ``slope_symmetries`` gives generators of
+that action, and ``OrbitKeys`` names each partition's orbit by its least
+member.
 """
 
 from __future__ import annotations
@@ -244,6 +249,60 @@ def mobius_normalize(pi: LinePartition) -> Optional[MobiusResult]:
     moved = LinePartition(
         f, [[apply_matrix_to_slope(f, matrix, s) for s in cls] for cls in pi.classes])
     return MobiusResult(moved, matrix)
+
+
+# ---------------------------------------------------------------------------
+# the semilinear symmetry of the slopes
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def slope_symmetries(field: Field) -> tuple[tuple[int, ...], ...]:
+    """Generators of PGammaL(2, q) as permutations of the slopes 0..q: the
+    translations s -> s + zeta**k for k < e, s -> zeta*s, s -> 1/s and,
+    when e > 1, the Frobenius s -> s**p.
+
+    Each comes from a semilinear map of V that fixes the origin and
+    permutes the lines, so it carries the Cayley color graph of a
+    partition onto that of its image."""
+    f = field
+    # the slope map (a*s + b) / (c*s + d) is the matrix ((d, c), (b, a))
+    matrices = [((1, 0), (f.power(f.zeta, k), 1)) for k in range(f.e)]
+    matrices += [((1, 0), (0, f.zeta)), ((0, 1), (1, 0))]
+    gens = [tuple(apply_matrix_to_slope(f, m, s) for s in all_slopes(f))
+            for m in matrices]
+    if f.e > 1:
+        gens.append(tuple(f.power(s, f.p) for s in f.elements()) + (f.q,))
+    return tuple(gens)
+
+
+Classes = tuple[tuple[int, ...], ...]
+
+
+class OrbitKeys:
+    """Maps the canonical ``classes`` of a partition to the least member of
+    its PGammaL(2, q)-orbit.  The first lookup in an orbit walks all of it,
+    breadth first over the generator images, and stores every member, so
+    each later member of that orbit costs one dict lookup."""
+
+    def __init__(self, field: Field):
+        self.generators = slope_symmetries(field)
+        self._least: dict[Classes, Classes] = {}
+
+    def __call__(self, classes: Classes) -> Classes:
+        key = self._least.get(classes)
+        if key is None:
+            orbit = [classes]
+            seen = {classes}
+            for member in orbit:
+                for g in self.generators:
+                    image = tuple(sorted(tuple(sorted(g[s] for s in cls))
+                                         for cls in member))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            key = min(orbit)
+            self._least.update(dict.fromkeys(orbit, key))
+        return key
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The schurian oracle, the prediction, linear slope actions, census."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from schurcensus import analysis, make_field
 from schurcensus.errors import InconsistencyError, SizingError
 from schurcensus.lines import (
     LinePartition,
+    OrbitKeys,
     all_slopes,
     enumerate_partitions,
     one_class_partition,
@@ -30,6 +32,7 @@ from schurcensus.analysis import (
     line_fixing_maps,
     matrix_point_permutation,
     nonschurian_criterion,
+    scalar_perms,
     schurian_test,
     translation_perms,
     verify_slope_closure,
@@ -121,6 +124,29 @@ def test_oracle_rejects_an_intransitive_group(monkeypatch):
     basis = SchurBasis.from_partition(one_class_partition(make_field(3, 1)))
     with pytest.raises(InconsistencyError, match="not transitive"):
         schurian_test(basis)
+
+
+def test_oracle_rejects_a_group_without_the_scalars(monkeypatch):
+    # the translations alone pass the transitivity guard (|Aut| = 9 * 1),
+    # but without the scalar maps the one-class ring of 3^1 would come
+    # back non-schurian
+    field = make_field(3, 1)
+    monkeypatch.setattr(analysis, "automorphism_group",
+                        lambda graph, cap: PermGroup(9, translation_perms(field)))
+    basis = SchurBasis.from_partition(one_class_partition(field))
+    with pytest.raises(InconsistencyError, match="scalar map by 2"):
+        schurian_test(basis)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (5, 1)])
+def test_scalars_fix_every_line(p, e):
+    field = make_field(p, e)
+    pi = singleton_partition(field)
+    aut = automorphism_group(cayley_color_graph(SchurBasis.from_partition(pi)))
+    blocks = SchurBasis.from_partition(pi).blocks
+    for g in scalar_perms(field):
+        assert g in aut
+        assert all(sorted(g[list(b)].tolist()) == list(b) for b in blocks)
 
 
 def test_oracle_cap():
@@ -345,6 +371,64 @@ def test_cross_validate_scope_filtered_and_workers():
     assert seq.unpredicted_schurian == seq.unpredicted_nonschurian == 0
     par = cross_validate(field, scope="filtered", workers=2)
     assert par == seq
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (2, 2)])
+def test_cross_validate_rows_match_the_direct_oracle(p, e):
+    # one oracle run per PGammaL(2, q)-orbit; 2^2 has a Frobenius generator
+    field = make_field(p, e)
+    rows = cross_validate(field, workers=1).rows
+    partitions = list(enumerate_partitions(field))
+    assert [row.partition for row in rows] == [str(pi) for pi in partitions]
+    for row, pi in zip(rows, partitions):
+        direct = schurian_test(SchurBasis.from_partition(pi))
+        assert (row.schurian, row.aut_order) == (direct.schurian, direct.aut_order)
+
+
+def test_cross_validate_runs_the_oracle_once_per_orbit(monkeypatch, caplog):
+    field = make_field(5, 1)
+    seen = []
+    real = analysis.schurian_test
+
+    def counting(basis, *, cap):
+        seen.append(basis)
+        return real(basis, cap=cap)
+
+    monkeypatch.setattr(analysis, "schurian_test", counting)
+    with caplog.at_level(logging.INFO, logger="schurcensus.analysis"):
+        cross_validate(field, workers=1)
+        cross_validate(field, scope="filtered", workers=1)
+    assert len(seen) == 13 + 2
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "schurcensus.analysis"]
+    assert messages == [
+        "cross-validate 5^1 scope all: 203 partitions in 13 orbits",
+        "cross-validate 5^1 scope filtered: 4 partitions in 2 orbits",
+    ]
+
+
+def test_cross_validate_aborts_per_orbit(monkeypatch):
+    # pretend the oracle finds the Wielandt orbit of 5^1 schurian
+    field = make_field(5, 1)
+    key = OrbitKeys(field)
+    target = key(wielandt_partition(field).classes)
+    orbit = [pi for pi in enumerate_partitions(field) if key(pi.classes) == target]
+    flipped = {SchurBasis.from_partition(pi) for pi in orbit}
+    real = analysis.schurian_test
+
+    def lying(basis, *, cap):
+        report = real(basis, cap=cap)
+        return report._replace(schurian=True) if basis in flipped else report
+
+    monkeypatch.setattr(analysis, "schurian_test", lying)
+    first = next(pi for pi in orbit if analysis.condition_holds(pi))
+    with pytest.raises(InconsistencyError) as info:
+        cross_validate(field, workers=1)
+    assert str(info.value) == (
+        f"partition {first} is predicted non-schurian but the oracle finds "
+        f"it schurian")
+    with pytest.raises(InconsistencyError, match=f"partition {first} "):
+        cross_validate(field, scope="filtered", workers=1)
 
 
 def test_cross_validate_guards():

@@ -10,6 +10,7 @@ from schurcensus import make_field
 from schurcensus.errors import PartitionFormatError, SizingError
 from schurcensus.lines import (
     LinePartition,
+    OrbitKeys,
     all_slopes,
     apply_matrix_to_point,
     apply_matrix_to_slope,
@@ -30,8 +31,10 @@ from schurcensus.lines import (
     singleton_partition,
     singleton_slopes,
     slope_literal,
+    slope_symmetries,
     wielandt_partition,
 )
+from schurcensus.perms import PermGroup
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -270,6 +273,48 @@ def test_mobius_verdict_is_fresh_not_copied():
     assert apply_matrix_to_slope(f9, res.matrix, 2) == 9
     assert singleton_slopes(res.partition) == {0, 1, 9}
     assert condition_holds(res.partition)
+
+
+# ---------------------------------------------------------------------------
+# the semilinear symmetry of the slopes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, e, order", [(3, 1, 24), (2, 2, 120), (5, 1, 120),
+                                         (7, 1, 336), (2, 3, 1512), (3, 2, 1440)])
+def test_slope_symmetries_generate_pgammal(p, e, order):
+    field = make_field(p, e)
+    q = field.q
+    group = PermGroup(q + 1, slope_symmetries(field))
+    assert group.order() == order == e * q * (q * q - 1)
+    # every fractional-linear witness of the normalization lies in it
+    for m in itertools.islice(itertools.combinations(all_slopes(field), 3), 20):
+        rest = [s for s in all_slopes(field) if s not in m]
+        res = mobius_normalize(LinePartition(field, [[s] for s in m] + [rest]))
+        assert [apply_matrix_to_slope(field, res.matrix, s)
+                for s in all_slopes(field)] in group
+
+
+@pytest.mark.parametrize("p, e, orbits", [(3, 1, 5), (2, 2, 7), (5, 1, 13),
+                                          (7, 1, 47), (2, 3, 49)])
+def test_orbit_keys_count_the_orbits(p, e, orbits):
+    field = make_field(p, e)
+    key = OrbitKeys(field)
+    keys = {key(pi.classes) for pi in enumerate_partitions(field)}
+    assert len(keys) == orbits
+    # each key is the least member of its own orbit
+    assert all(key(k) == k for k in keys)
+
+
+def test_orbit_keys_follow_the_symmetry():
+    field = make_field(5, 1)
+    key = OrbitKeys(field)
+    for pi in enumerate_partitions(field):
+        for g in slope_symmetries(field):
+            image = LinePartition(field, [[g[s] for s in cls] for cls in pi.classes])
+            assert key(image.classes) == key(pi.classes) <= pi.classes
+        # the orbit keeps the shape of the partition
+        assert (sorted(map(len, key(pi.classes)))
+                == sorted(map(len, pi.classes)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InconsistencyError, SizingError
+from .errors import InconsistencyError, PartitionFormatError, SizingError
 from .gf import Field, field_from_literal
 from .lines import (
     LinePartition,
@@ -48,7 +48,9 @@ from .lines import (
     all_slopes,
     condition_holds,
     enumerate_partitions,
+    line_points,
     mobius_normalize,
+    point_index,
     singleton_slopes,
 )
 from .lines import DEFAULT_CENSUS_CAP  # noqa: F401  (re-exported knob)
@@ -213,12 +215,24 @@ def _coordinate_rows(field: Field) -> np.ndarray:
 
 
 def coerce_matrix(field: Field, matrix) -> np.ndarray:
+    """An invertible 2e x 2e matrix over F_p, from a numpy integer array or
+    nested lists of integers, reduced mod p as Python integers (so entries
+    of any size are fine).  Raises PartitionFormatError for an entry that
+    is not an integer (bool, float, str) and ValueError for a wrong shape
+    or a singular matrix."""
     dim = 2 * field.e
-    arr = np.asarray(matrix, dtype=np.int64) % field.p
-    if arr.shape != (dim, dim):
+    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    if not (isinstance(rows, (list, tuple)) and len(rows) == dim
+            and all(isinstance(r, (list, tuple)) and len(r) == dim for r in rows)):
         raise ValueError(
             f"need a {dim} x {dim} matrix over the prime field of {field}, "
-            f"got shape {arr.shape}")
+            f"as {dim} rows of {dim} integers")
+    bad = [x for row in rows for x in row
+           if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+    if bad:
+        raise PartitionFormatError(
+            f"matrix entries must be integers, got {bad[0]!r}")
+    arr = np.array([[int(x) % field.p for x in row] for row in rows], dtype=np.int64)
     if _rank_mod_p(arr, field.p) != dim:
         raise ValueError("matrix is singular over the prime field")
     return arr
@@ -258,14 +272,10 @@ def matrix_point_permutation(field: Field, matrix) -> np.ndarray:
 def invariant_slopes(field: Field, matrix) -> frozenset[int]:
     """The slopes s with sigma(L_s) = L_s, for invertible sigma acting on
     coordinate rows."""
-    sigma = coerce_matrix(field, matrix)
-    perm = matrix_point_permutation(field, sigma)
+    perm = matrix_point_permutation(field, matrix)
     out = []
     for s in all_slopes(field):
-        if s == field.q:
-            members = {0 * field.q + y for y in range(field.q)}
-        else:
-            members = {x * field.q + field.mul(s, x) for x in range(field.q)}
+        members = {point_index(field, pt) for pt in line_points(field, s)}
         if {int(perm[m]) for m in members} == members:
             out.append(s)
     return frozenset(out)

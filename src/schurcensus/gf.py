@@ -14,6 +14,11 @@ x - g with g the least primitive root mod p, so zeta = g.  Either way a
 given (p, e) always produces the same tables, which keeps every derived
 artifact reproducible.
 
+Every field carries dense lookup tables (q x q for addition and
+multiplication, length q for negation and inversion), built when it is
+constructed; all element arithmetic reads them.  ``make_field`` therefore
+refuses fields above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
+
 Matrices over F_p (the regular representation below, and the linear maps
 in other modules) are numpy integer arrays with entries reduced mod p.
 """
@@ -29,11 +34,7 @@ import numpy as np
 
 from .errors import SizingError
 
-DEFAULT_ELEMENT_CAP = 1 << 20
-
-# Dense q*q lookup tables are built only for fields up to this many
-# elements; larger fields use per-call digit arithmetic instead.
-_TABLE_LIMIT = 512
+DEFAULT_ELEMENT_CAP = 512  # largest field whose q x q tables we build
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +145,7 @@ class Field:
         self.q = p ** e
         self.modulus = modulus  # monic, length e + 1, constant term first
         self.zeta = zeta
-        self._add_t: np.ndarray | None = None
-        self._mul_t: np.ndarray | None = None
-        self._neg_t: np.ndarray | None = None
-        self._inv_t: np.ndarray | None = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- identity ---------------------------------------------------------
 
@@ -205,37 +201,21 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self._add_t is not None:
-            return int(self._add_t[a, b])
-        return self.from_coords((x + y) % self.p
-                                for x, y in zip(self.coords(a), self.coords(b)))
+        return int(self._add_t[self._check(a), self._check(b)])
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self._neg_t is not None:
-            return int(self._neg_t[a])
-        return self.from_coords((-x) % self.p for x in self.coords(a))
+        return int(self._neg_t[self._check(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        return self.from_coords(
-            _poly_mulmod(self.coords(a), self.coords(b), self.modulus, self.p))
+        return int(self._mul_t[self._check(a), self._check(b)])
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+        if self._check(a) == 0:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        if self._inv_t is not None:
-            return int(self._inv_t[a])
-        return self.power(a, self.q - 2)
+        return int(self._inv_t[a])
 
     def power(self, a: int, k: int) -> int:
         self._check(a)
@@ -330,19 +310,13 @@ class Field:
         self._inv_t = inv
 
     def add_table(self) -> np.ndarray:
-        """q x q numpy table of sums (built on demand for large fields)."""
-        if self._add_t is None:
-            self._build_tables()
+        """q x q numpy table of sums."""
         return self._add_t
 
     def mul_table(self) -> np.ndarray:
-        if self._mul_t is None:
-            self._build_tables()
         return self._mul_t
 
     def neg_table(self) -> np.ndarray:
-        if self._neg_t is None:
-            self._build_tables()
         return self._neg_t
 
 
@@ -362,15 +336,22 @@ def _build_field(p: int, e: int) -> Field:
     raise RuntimeError(f"no primitive polynomial of degree {e} over F_{p}")
 
 
-def make_field(p: int, e: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> Field:
-    """Return GF(p**e), reusing a cached instance for repeated calls."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+def make_field(p: int, e: int) -> Field:
+    """Return GF(p**e), reusing a cached instance for repeated calls.
+
+    Fields above DEFAULT_ELEMENT_CAP elements raise SizingError.  A p or
+    e too large for the cap is refused before trial division and before
+    p**e is formed, so huge literals fail at once."""
+    cap = DEFAULT_ELEMENT_CAP
     if e < 1:
         raise ValueError(f"e must be at least 1, got {e}")
-    if p ** e > element_cap:
+    if p <= cap and not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if p > cap or e > cap.bit_length():
+        raise SizingError(f"GF({p}^{e}) is above the cap of {cap} elements")
+    if p ** e > cap:
         raise SizingError(
-            f"GF({p}^{e}) has {p ** e} elements, above the cap of {element_cap}")
+            f"GF({p}^{e}) has {p ** e} elements, above the cap of {cap}")
     return _build_field(p, e)
 
 
@@ -385,6 +366,5 @@ def parse_field_literal(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def field_from_literal(text: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> Field:
-    p, e = parse_field_literal(text)
-    return make_field(p, e, element_cap)
+def field_from_literal(text: str) -> Field:
+    return make_field(*parse_field_literal(text))

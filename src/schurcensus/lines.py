@@ -52,7 +52,7 @@ def slope_literal(field: Field, s: int) -> str:
 def parse_slope_literal(field: Field, text: str) -> int:
     if text == INFINITY_LITERAL:
         return field.q
-    if text.isdigit() and str(int(text)) == text and int(text) < field.q:
+    if text.isdecimal() and str(int(text)) == text and int(text) < field.q:
         return int(text)
     raise PartitionFormatError(
         f"unknown slope literal {text!r} for {field}; "

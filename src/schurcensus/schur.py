@@ -11,9 +11,11 @@ when three axioms hold:
   S2  every class is closed under negation,
   S3  every product of two class sums is constant on every class.
 
-``verify_schur_axioms`` checks the three in that order and reports the
-first witness of each violated one; ``structure_constants`` extracts the
-multiplication table of the class sums, refusing bases that break S3.
+One pass over the ordered pairs of classes computes every product of
+class sums; it yields both the S3 witness and the multiplication table.
+``verify_schur_axioms`` checks the three axioms in that order and reports
+the first witness of each violated one; ``structure_constants`` returns
+the table of the class sums, refusing bases that break S3.
 
 Line partitions induce such bases (origin alone, then one class per slope
 class), and the sums over full lines satisfy closed-form products: a line
@@ -112,9 +114,6 @@ class SchurBasis:
     def from_partition(cls, pi: LinePartition) -> "SchurBasis":
         return cls(pi.field, induced_partition(pi))
 
-    def indicator(self, k: int) -> np.ndarray:
-        return class_indicator(self.field, self.blocks[k])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SchurBasis)
                 and self.field == other.field and self.blocks == other.blocks)
@@ -134,6 +133,23 @@ class SchurCheck(NamedTuple):
 
 
 def verify_schur_axioms(basis: SchurBasis) -> SchurCheck:
+    return _check_and_tabulate(basis)[0]
+
+
+def structure_constants(basis: SchurBasis) -> np.ndarray:
+    """The (m, m, m) table p[i, j, k] with class_i * class_j =
+    sum_k p[i, j, k] class_k.  Raises ValueError, quoting the S3 witness,
+    when the basis does not span a ring."""
+    check, table = _check_and_tabulate(basis)
+    if any(f.startswith("S3") for f in check.failures):
+        raise ValueError("not a Schur ring basis: " + "; ".join(check.failures))
+    return table
+
+
+def _check_and_tabulate(basis: SchurBasis) -> tuple[SchurCheck, np.ndarray]:
+    """The axiom check and the structure constants, from one pass over the
+    class pairs.  The pass stops at the first S3 violation, leaving the
+    rest of the table unfilled."""
     field = basis.field
     add, neg = group_tables(field)
     failures: list[str] = []
@@ -154,49 +170,26 @@ def verify_schur_axioms(basis: SchurBasis) -> SchurCheck:
                 f"(-{bad} = {image} lies in class {int(basis.class_of[image])})")
             break
 
-    reps = np.array([b[0] for b in basis.blocks], dtype=np.int64)
-    done = False
-    for i in range(len(basis.blocks)):
-        for j in range(len(basis.blocks)):
-            prod = _block_product(add, basis.blocks[i], basis.blocks[j])
-            if not np.array_equal(prod, prod[reps][basis.class_of]):
-                k = int(np.flatnonzero(prod != prod[reps][basis.class_of])[0])
-                kcls = int(basis.class_of[k])
-                rep = int(reps[kcls])
-                failures.append(
-                    f"S3: class {i} times class {j} takes value {int(prod[k])} "
-                    f"at point {k} but {int(prod[rep])} at point {rep}, both "
-                    f"in class {kcls}")
-                done = True
-                break
-        if done:
-            break
-
-    return SchurCheck(not failures, tuple(failures))
-
-
-def _block_product(add: np.ndarray, bi: tuple[int, ...], bj: tuple[int, ...]) -> np.ndarray:
-    sums = add[np.ix_(np.asarray(bi, dtype=np.intp), np.asarray(bj, dtype=np.intp))]
-    return np.bincount(sums.ravel(), minlength=add.shape[0]).astype(np.int64)
-
-
-def structure_constants(basis: SchurBasis) -> np.ndarray:
-    """The (m, m, m) table p[i, j, k] with class_i * class_j =
-    sum_k p[i, j, k] class_k.  Raises ValueError, quoting the S3 witness,
-    when the basis does not span a ring."""
-    add, _ = group_tables(basis.field)
     m = len(basis.blocks)
     reps = np.array([b[0] for b in basis.blocks], dtype=np.int64)
-    table = np.empty((m, m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod = _block_product(add, basis.blocks[i], basis.blocks[j])
-            if not np.array_equal(prod, prod[reps][basis.class_of]):
-                check = verify_schur_axioms(basis)
-                detail = "; ".join(check.failures) or "S3 fails"
-                raise ValueError(f"not a Schur ring basis: {detail}")
-            table[i, j] = prod[reps]
-    return table
+    table = np.zeros((m, m, m), dtype=np.int64)
+    for i, j in np.ndindex(m, m):
+        sums = add[np.ix_(np.asarray(basis.blocks[i], dtype=np.intp),
+                          np.asarray(basis.blocks[j], dtype=np.intp))]
+        prod = np.bincount(sums.ravel(), minlength=add.shape[0])
+        table[i, j] = prod[reps]
+        off = np.flatnonzero(prod != table[i, j][basis.class_of])
+        if off.size:
+            k = int(off[0])
+            kcls = int(basis.class_of[k])
+            rep = int(reps[kcls])
+            failures.append(
+                f"S3: class {i} times class {j} takes value {int(prod[k])} "
+                f"at point {k} but {int(prod[rep])} at point {rep}, both "
+                f"in class {kcls}")
+            break
+
+    return SchurCheck(not failures, tuple(failures)), table
 
 
 # ---------------------------------------------------------------------------

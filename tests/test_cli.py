@@ -1,13 +1,15 @@
 """The command-line surface: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from schurcensus import make_field
-from schurcensus.analysis import Census, SchurianReport
+from schurcensus.analysis import Census, SchurianReport, cross_validate
 from schurcensus.errors import InconsistencyError
 from schurcensus.lines import LinePartition, load_partition, wielandt_partition
 from schurcensus.schur import SchurBasis, structure_constants
@@ -155,6 +157,23 @@ def test_emit_report_json_is_canonical():
     assert data == b'{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
 
 
+def test_reports_match_the_recorded_digests(tmp_path):
+    # the canonical TSV bytes are the contract; these digests are the ones
+    # the benchmark checks its workloads against
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "references.json").read_text())
+    for workload, argv in (
+            ("xv-q5", ["cross-validate", "--field", "5^1", "--workers", "1"]),
+            ("census-q9", ["census", "--field", "3^2"])):
+        path = tmp_path / f"{workload}.tsv"
+        assert cli.main(argv + ["--format", "tsv", "--output", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == refs[workload]["sha256"], workload
+    filtered = cross_validate(make_field(7, 1), scope="filtered", workers=1)
+    digest = hashlib.sha256(cli.emit_report(filtered, "tsv")).hexdigest()
+    assert digest == refs["stretch-q7"]["sha256"]
+
+
 def test_cross_validate_tsv_is_byte_identical_across_workers(tmp_path):
     paths = [tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv")]
     for path, workers in zip(paths, ("1", "1", "2")):
@@ -225,6 +244,41 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.strip(), argv
         assert not captured.out, argv
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.5, 0], [0, True]],
+    [["1", "0"], ["0", "1"]],
+    [[True, False], [False, True]],
+    [[1.0, 0], [0, 1]],
+    [[1, 0], [0, None]],
+])
+def test_matrix_entries_must_be_json_integers(tmp_path, capsys, matrix):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    assert cli.main(["invariant-slopes", "--field", "5^1",
+                     "--partition", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "must be integers" in captured.err
+    assert not captured.out
+
+
+def test_huge_matrix_entries_reduce_mod_p(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"matrix": [[10 ** 23 + 1, 0], [5 ** 40, 1]]}))
+    doc, code = run_json(capsys, ["invariant-slopes", "--field", "5^1",
+                                  "--partition", str(path)])
+    assert code == 0
+    assert doc["matrix"] == [[1, 0], [0, 1]]
+    assert doc["count"] == 6
+
+
+@pytest.mark.parametrize("literal", ["2^10", "23^2", "2^20000"])
+def test_fields_above_512_elements_exit_2(capsys, literal):
+    assert cli.main(["census", "--field", literal]) == 2
+    captured = capsys.readouterr()
+    assert "above the cap of 512" in captured.err, captured.err
+    assert not captured.out
 
 
 def test_matrix_file_field_mismatch_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -72,10 +74,18 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         make_field(5, 0)
     with pytest.raises(SizingError):
-        make_field(103, 3)  # 103^3 > 2^20
-    with pytest.raises(SizingError):
-        make_field(5, 2, element_cap=10)
-    assert make_field(5, 1, element_cap=10).q == 5
+        make_field(103, 3)  # 103^3 > 512
+
+
+def test_huge_literals_are_refused_before_arithmetic():
+    # trial division of p, the power p**e or printing it would not finish
+    # (or would overflow the int-to-str digit limit) on these
+    start = time.perf_counter()
+    for text in ("2^20000", "2^1000000000", "1000000000000000003^1",
+                 "1000000000000000003^1000000000"):
+        with pytest.raises(SizingError, match="above the cap of 512 elements"):
+            field_from_literal(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_literals():
@@ -151,14 +161,14 @@ def test_gf4_zeta_squared():
 
 
 def test_untabled_field_paths():
-    # 1024 elements is past the table limit, forcing the digit/poly code
-    f = make_field(2, 10)
-    assert f._mul_t is None
+    # every field carries its dense tables, so 512 elements is the largest
+    # field there is
+    f = make_field(2, 9)
+    assert f.mul_table().shape == (512, 512)
     assert f.mul(f.zeta, f.zeta) == 4  # x * x = x^2, index p^2
-    for a in (1, 2, 3, 5, 100, 1023):
-        assert f.mul(a, f.inv(a)) == 1
-        assert f.add(a, f.neg(a)) == 0
     assert f.multiplicative_order(f.zeta) == f.q - 1
+    with pytest.raises(SizingError, match="1024 elements"):
+        make_field(2, 10)
 
 
 # ---------------------------------------------------------------------------

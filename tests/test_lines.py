@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -85,8 +86,9 @@ def test_slope_literals():
     assert slope_literal(field, 3) == "3"
     assert parse_slope_literal(field, "inf") == 5
     assert parse_slope_literal(field, "0") == 0
-    for bad in ("5", "-1", "03", " 1", "oo", ""):
-        with pytest.raises(PartitionFormatError):
+    # superscripts pass str.isdigit() but int() refuses them
+    for bad in ("5", "-1", "03", " 1", "oo", "", "\u00b2", "1\u00b9"):
+        with pytest.raises(PartitionFormatError, match=re.escape(repr(bad))):
             parse_slope_literal(field, bad)
     with pytest.raises(ValueError):
         slope_literal(field, 6)

@@ -53,9 +53,7 @@ from .lines import (
     point_index,
     singleton_slopes,
 )
-from .lines import DEFAULT_CENSUS_CAP  # noqa: F401  (re-exported knob)
-from .perms import ColorGraph, PermGroup, automorphism_group
-from .perms import DEFAULT_ORACLE_CAP  # noqa: F401  (re-exported knob)
+from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
 from .schur import SchurBasis, group_tables, verify_schur_axioms
 
 DEFAULT_GL_CAP = 10 ** 7  # refuse to enumerate larger general linear groups
@@ -113,7 +111,7 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
         raise ValueError("not a Schur ring basis: " + "; ".join(check.failures))
     graph = cayley_color_graph(basis)
     aut = automorphism_group(graph, cap=cap)
-    stab = aut.point_stabilizer(0)
+    stab = aut.point_stabilizer()
     aut_order, stab_order = aut.order(), stab.order()
     if aut_order != basis.field.q ** 2 * stab_order:
         raise InconsistencyError(
@@ -318,25 +316,18 @@ def verify_slope_closure(field: Field, matrix) -> ClosureReport:
     return ClosureReport(fixed, field.is_subfield(fixed - {field.q}), a)
 
 
-def frobenius_matrix(field: Field) -> np.ndarray:
-    """The e x e coordinate matrix of x -> x^p, rows = images of the
-    power basis."""
-    rows = [field.coords(field.power(field.zeta, i * field.p))
-            for i in range(field.e)]
-    return np.array(rows, dtype=np.int64)
-
-
 def gl_order(p: int, dim: int) -> int:
     return math.prod(p ** dim - p ** i for i in range(dim))
 
 
-def gl_matrices(p: int, dim: int, *, gl_cap: int = DEFAULT_GL_CAP) -> Iterator[np.ndarray]:
+def gl_matrices(p: int, dim: int) -> Iterator[np.ndarray]:
     """Every invertible dim x dim matrix over F_p, rows chosen outside the
     span of the earlier ones, in lexicographic order."""
     total = gl_order(p, dim)
-    if total > gl_cap:
+    if total > DEFAULT_GL_CAP:
         raise SizingError(
-            f"GL({dim}, {p}) has {total} elements, above the cap of {gl_cap}")
+            f"GL({dim}, {p}) has {total} elements, above the cap of "
+            f"{DEFAULT_GL_CAP}")
     vectors = [np.array(v, dtype=np.int64)
                for v in np.ndindex(*([p] * dim))]
 
@@ -359,11 +350,11 @@ def gl_matrices(p: int, dim: int, *, gl_cap: int = DEFAULT_GL_CAP) -> Iterator[n
     return rec([], {zero})
 
 
-def line_fixing_maps(field: Field, *, gl_cap: int = DEFAULT_GL_CAP) -> Iterator[np.ndarray]:
+def line_fixing_maps(field: Field) -> Iterator[np.ndarray]:
     """All matrices in GL(2e, p) fixing L_0, L_1 and the vertical line:
     exactly the repeated diagonal blocks diag(A, A) with A invertible."""
     e = field.e
-    for a in gl_matrices(field.p, e, gl_cap=gl_cap):
+    for a in gl_matrices(field.p, e):
         sigma = np.zeros((2 * e, 2 * e), dtype=np.int64)
         sigma[:e, :e] = a
         sigma[e:, e:] = a
@@ -386,12 +377,13 @@ class Census(NamedTuple):
     rows: tuple[CensusRow, ...]
 
 
-def census(field: Field, *, census_cap: int = DEFAULT_CENSUS_CAP) -> Census:
+def census(field: Field) -> Census:
     """Tabulate the prediction over every partition of the slopes, in
     enumeration order.  No oracle runs; this is the cheap half of the
-    cross-validation and works for any field under the census cap."""
+    cross-validation and works for any field under the fixed census cap
+    of 12 slopes (q <= 11)."""
     rows = tuple(CensusRow(str(pi), condition_holds(pi))
-                 for pi in enumerate_partitions(field, census_cap=census_cap))
+                 for pi in enumerate_partitions(field))
     return Census(
         field=field.literal,
         total=len(rows),
@@ -429,13 +421,15 @@ def _oracle_worker(payload) -> tuple[bool, int]:
 
 
 def default_workers() -> int:
-    count = os.cpu_count()
-    return count if count and count > 0 else 1
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cross_validate(field: Field, *, scope: str = "all",
                    oracle_cap: int = DEFAULT_ORACLE_CAP,
-                   census_cap: int = DEFAULT_CENSUS_CAP,
                    workers: Optional[int] = None) -> CrossValidation:
     """Run the schurian oracle against the prediction over a whole field.
 
@@ -453,10 +447,8 @@ def cross_validate(field: Field, *, scope: str = "all",
         raise SizingError(
             f"{field} needs the oracle on {field.q ** 2} points, above the "
             f"cap of {oracle_cap}")
-    if scope == "all":
-        source = enumerate_partitions(field, census_cap=census_cap)
-    else:
-        source = enumerate_partitions(field, condition_holds, census_cap=census_cap)
+    source = enumerate_partitions(
+        field, condition_holds if scope == "filtered" else None)
     orbit_key = OrbitKeys(field)
     entries = []  # (partition, orbit key, predicted) in enumeration order
     representative: dict = {}

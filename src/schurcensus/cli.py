@@ -38,7 +38,6 @@ from .analysis import (
 from .errors import InconsistencyError, PartitionFormatError
 from .gf import Field, field_from_literal
 from .lines import (
-    DEFAULT_CENSUS_CAP,
     LinePartition,
     load_partition,
     partition_to_json_dict,
@@ -171,7 +170,7 @@ def _cmd_invariant_slopes(args) -> tuple[bytes, int]:
 def _cmd_cross_validate(args) -> tuple[bytes, int]:
     field = field_from_literal(args.field)
     table = cross_validate(field, scope="all", oracle_cap=args.oracle_cap,
-                           census_cap=args.census_cap, workers=args.workers)
+                           workers=args.workers)
     if args.format == "tsv":
         return emit_report(table, "tsv"), 0
     doc = dict(_provenance(field),
@@ -191,7 +190,7 @@ def _cmd_cross_validate(args) -> tuple[bytes, int]:
 
 def _cmd_census(args) -> tuple[bytes, int]:
     field = field_from_literal(args.field)
-    table = census(field, census_cap=args.census_cap)
+    table = census(field)
     if args.format == "tsv":
         return emit_report(table, "tsv"), 0
     doc = dict(_provenance(field),
@@ -205,7 +204,11 @@ def _cmd_census(args) -> tuple[bytes, int]:
 
 def _load_matrix(path: str, field: Field):
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise PartitionFormatError(
+                f"{path}: not valid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "matrix" not in data:
         raise PartitionFormatError(
             f"{path}: expected a JSON object with a 'matrix' key")
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name, help_text, *, field=False, partition=None, oracle=False,
-                census_cap=False, workers=False):
+                workers=False):
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         if field:
             cmd.add_argument("--field", required=True, metavar="p^e",
@@ -252,15 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                              default=DEFAULT_ORACLE_CAP,
                              help="largest point count the oracle will accept "
                                   f"(default {DEFAULT_ORACLE_CAP})")
-        if census_cap:
-            cmd.add_argument("--census-cap", type=int, metavar="N",
-                             default=DEFAULT_CENSUS_CAP,
-                             help="largest slope count to enumerate over "
-                                  f"(default {DEFAULT_CENSUS_CAP})")
         if workers:
             cmd.add_argument("--workers", type=int, metavar="N", default=None,
-                             help="worker processes (default: all cores; "
-                                  "1 runs fully sequential)")
+                             help="worker processes (default: the CPUs "
+                                  "this process may use; 1 runs fully "
+                                  "sequential)")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json",
                          help="output format (tsv only for the table commands)")
         cmd.add_argument("--output", metavar="PATH", default=None,
@@ -292,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("cross-validate",
             "run prediction and oracle over every partition of a field's "
             "slopes and tabulate the verdict pairs",
-            field=True, oracle=True, census_cap=True, workers=True)
+            field=True, oracle=True, workers=True)
     command("census",
             "tabulate the prediction over every partition of a field's "
             "slopes (no oracle runs)",
-            field=True, census_cap=True)
+            field=True)
     return parser
 
 
@@ -306,12 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: tsv output is only available for census and "
               "cross-validate", file=sys.stderr)
         return 2
-    for flag in ("oracle_cap", "census_cap"):
-        cap = getattr(args, flag, None)
-        if cap is not None and cap <= 0:
-            print(f"error: --{flag.replace('_', '-')} must be positive",
-                  file=sys.stderr)
-            return 2
+    cap = getattr(args, "oracle_cap", None)
+    if cap is not None and cap <= 0:
+        print("error: --oracle-cap must be positive", file=sys.stderr)
+        return 2
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)

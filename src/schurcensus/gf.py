@@ -187,17 +187,6 @@ class Field:
             a //= self.p
         return tuple(out)
 
-    def from_coords(self, digits: Iterable[int]) -> int:
-        a, scale = 0, 1
-        n = 0
-        for c in digits:
-            a += (c % self.p) * scale
-            scale *= self.p
-            n += 1
-        if n != self.e:
-            raise ValueError(f"expected {self.e} digits for {self}, got {n}")
-        return a
-
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -228,15 +217,6 @@ class Field:
             a = self.mul(a, a)
             k >>= 1
         return acc
-
-    def multiplicative_order(self, a: int) -> int:
-        if self._check(a) == 0:
-            raise ZeroDivisionError(f"zero has no multiplicative order in {self}")
-        order = self.q - 1
-        for r in _prime_factors(self.q - 1):
-            while order % r == 0 and self.power(a, order // r) == 1:
-                order //= r
-        return order
 
     # -- linear structure ----------------------------------------------------
 

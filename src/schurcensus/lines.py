@@ -66,12 +66,6 @@ def point_index(field: Field, pt: tuple[int, int]) -> int:
     return x * field.q + y
 
 
-def point_at(field: Field, index: int) -> tuple[int, int]:
-    x, y = divmod(index, field.q)
-    field._check(x)
-    return (x, y)
-
-
 def line_points(field: Field, s: int) -> list[tuple[int, int]]:
     """All q points of the line with slope s (the origin included)."""
     if s == field.q:
@@ -135,12 +129,6 @@ class LinePartition:
 
     def __repr__(self) -> str:
         return f"LinePartition({self.field.literal!r}, {str(self)!r})"
-
-    def class_of_slope(self, s: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if s in cls:
-                return i
-        raise ValueError(f"{s} is not a slope for {self.field}")
 
 
 def singleton_partition(field: Field) -> LinePartition:
@@ -309,17 +297,17 @@ class OrbitKeys:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_partitions(field: Field,
-                         predicate: Optional[Callable[[LinePartition], bool]] = None,
-                         *,
-                         census_cap: int = DEFAULT_CENSUS_CAP) -> Iterator[LinePartition]:
+def enumerate_partitions(
+        field: Field, predicate: Optional[Callable[[LinePartition], bool]] = None,
+) -> Iterator[LinePartition]:
     """Stream every partition of the slope set in restricted-growth-string
     order (so the one-class partition comes first and the all-singleton
-    partition last), optionally filtered by ``predicate``."""
+    partition last), optionally filtered by ``predicate``.  Fields with
+    more than ``DEFAULT_CENSUS_CAP`` slopes raise SizingError."""
     n = field.q + 1
-    if n > census_cap:
+    if n > DEFAULT_CENSUS_CAP:
         raise SizingError(
-            f"{field} has {n} slopes, above the census cap of {census_cap} "
+            f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
             f"(Bell numbers grow too fast beyond that)")
     labels = [0] * n
 
@@ -356,14 +344,17 @@ def parse_partition(data) -> LinePartition:
         {"field": "5^1", "classes": [["inf"], ["0"], ["1"], ["2", "3", "4"]]}
 
     Accepts a JSON string or an already-decoded dict.  Classes may come in
-    any order; the result is canonical.  Duplicate, missing and unknown
-    slopes are all rejected with the offending literal named.
+    any order; the result is canonical.  Unknown slope literals are
+    rejected by name; duplicate, missing and empty classes by the
+    ``LinePartition`` checks, re-raised as PartitionFormatError.
     """
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise PartitionFormatError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise PartitionFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise PartitionFormatError("partition file must hold a JSON object")
     extra = set(data) - {"field", "classes"}
@@ -383,34 +374,17 @@ def parse_partition(data) -> LinePartition:
     if (not isinstance(raw_classes, list)
             or not all(isinstance(c, list) for c in raw_classes)):
         raise PartitionFormatError("'classes' must be a list of lists of slope literals")
-    seen: dict[int, str] = {}
-    classes: list[list[int]] = []
-    for raw in raw_classes:
-        cls = []
-        for lit in raw:
-            if not isinstance(lit, str):
-                raise PartitionFormatError(
-                    f"slope literals must be strings, got {lit!r}")
-            s = parse_slope_literal(field, lit)
-            if s in seen:
-                raise PartitionFormatError(f"slope {lit!r} occurs twice")
-            seen[s] = lit
-            cls.append(s)
-        classes.append(cls)
-    missing = [slope_literal(field, s) for s in all_slopes(field) if s not in seen]
-    if missing:
-        raise PartitionFormatError(f"partition misses slopes {{{', '.join(missing)}}}")
-    if any(not c for c in classes):
-        raise PartitionFormatError("empty class in partition file")
-    return LinePartition(field, classes)
+    bad = [lit for raw in raw_classes for lit in raw if not isinstance(lit, str)]
+    if bad:
+        raise PartitionFormatError(f"slope literals must be strings, got {bad[0]!r}")
+    classes = [[parse_slope_literal(field, lit) for lit in raw] for raw in raw_classes]
+    try:
+        return LinePartition(field, classes)
+    except ValueError as exc:
+        raise PartitionFormatError(str(exc)) from None
 
 
 def load_partition(path) -> LinePartition:
     with open(path, encoding="utf-8") as fh:
         return parse_partition(fh.read())
 
-
-def dump_partition(pi: LinePartition, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition_to_json_dict(pi), fh, indent=2, sort_keys=True)
-        fh.write("\n")

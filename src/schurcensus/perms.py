@@ -5,7 +5,8 @@ x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
 Schreier-Sims chain along the fixed base 0, 1, ..., n-1 (most levels stay
 trivial), which gives exact orders as big integers and fast membership
 sifting.  The levels below level 0 are already a chain for the stabilizer
-of 0, so ``point_stabilizer(0)`` shares them instead of building anew.
+of 0, the only stabilizer the schurian oracle needs, so
+``point_stabilizer()`` shares them instead of building anew.
 
 ``automorphism_group`` computes the full automorphism group of a
 ``ColorGraph`` by individualization and refinement.  The refinement is a
@@ -187,22 +188,12 @@ class PermGroup:
                 out.append(tuple(sorted(orbit)))
         return tuple(out)
 
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """The subgroup fixing ``point``.
+    def point_stabilizer(self) -> "PermGroup":
+        """The subgroup fixing 0, the first base point.
 
-        For point 0 this is the tail of the chain: the levels >= 1 already
-        form a chain for the stabilizer of the first base point, so they
-        are shared, and level 0 is left trivial.  Any other point swaps
-        places with 0 by conjugation, takes that tail and swaps back."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"no point {point} in degree {self.degree}")
-        if point != 0:
-            swap = identity_perm(self.degree)
-            swap[[0, point]] = point, 0
-            moved = PermGroup(self.degree,
-                              [swap[g[swap]] for g in self.generators])
-            return PermGroup(self.degree, [swap[g[swap]] for g in
-                                           moved.point_stabilizer(0).generators])
+        The chain levels >= 1 already form a chain for it, so they are
+        shared and level 0 is left trivial; no Schreier-Sims work is
+        done."""
         stab = PermGroup(self.degree)
         stab._gens_at = [[]] + [list(gens) for gens in self._gens_at[1:]]
         stab._trans = [None] + self._trans[1:]

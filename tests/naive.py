@@ -78,19 +78,6 @@ def least_primitive_root(p):
     raise AssertionError(f"no primitive root mod {p}")
 
 
-def euler_phi(n):
-    out, d = n, 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
 # --- set partitions ----------------------------------------------------------
 
 def bell(n):

@@ -25,7 +25,6 @@ from schurcensus.analysis import (
     census,
     coerce_matrix,
     cross_validate,
-    frobenius_matrix,
     gl_matrices,
     gl_order,
     invariant_slopes,
@@ -255,17 +254,15 @@ def test_invariant_slopes_scalar_and_diagonal():
 
 def test_gf9_frobenius_fixes_the_prime_subfield_slopes():
     field = make_field(3, 2)
-    frob = frobenius_matrix(field)
+    # x -> x^3 on coordinate rows: row i holds the image of zeta^i
+    frob = np.array([field.coords(field.power(field.zeta, i * field.p))
+                     for i in range(field.e)], dtype=np.int64)
     assert frob.tolist() == [[1, 0], [2, 2]]
     sigma = diag_embed(field, frob)
     assert invariant_slopes(field, sigma) == {0, 1, 2, 9}
     report = verify_slope_closure(field, sigma)
     assert report.is_subfield
     assert report.invariant == {0, 1, 2, 9}
-
-
-def test_frobenius_matrix_prime_field_is_identity():
-    assert frobenius_matrix(make_field(7, 1)).tolist() == [[1]]
 
 
 @pytest.mark.parametrize("p, e", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -436,3 +433,16 @@ def test_cross_validate_guards():
         cross_validate(make_field(11, 1))
     with pytest.raises(ValueError, match="scope"):
         cross_validate(make_field(5, 1), scope="some")
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    # pinned to one CPU of several, the pool must not oversubscribe it
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    assert analysis.default_workers() == 1
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started on a single allowed CPU")
+    monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
+    assert cross_validate(make_field(3, 1)).total == 15

@@ -225,8 +225,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in (
         ["census", "--field", "nonsense"],
         ["census", "--field", "13^1"],
-        ["census", "--field", "3^1", "--census-cap", "0"],
         ["cross-validate", "--field", "11^1"],
+        ["cross-validate", "--field", "13^1", "--oracle-cap", "169"],
         ["cross-validate", "--field", "5^1", "--workers", "0"],
         ["schurian-test", "--partition", str(bad_partition)],
         ["schurian-test", "--partition", str(not_json)],
@@ -244,6 +244,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.strip(), argv
         assert not captured.out, argv
+
+
+@pytest.mark.parametrize("command", ["check-condition", "schurian-test",
+                                     "invariant-slopes"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    nested = "[" * 100000 + "]" * 100000
+    path = tmp_path / "nested.json"
+    if command == "invariant-slopes":
+        path.write_text('{"matrix": ' + nested + "}")
+        argv = [command, "--field", "5^1", "--partition", str(path)]
+    else:
+        path.write_text(nested)
+        argv = [command, "--partition", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip()
+    assert not captured.out
 
 
 @pytest.mark.parametrize("matrix", [

@@ -150,9 +150,9 @@ def test_mul_matches_naive_polynomials():
         f = make_field(p, e)
         for a in f.elements():
             for b in f.elements():
-                want = f.from_coords(
-                    naive.pmod(naive.pmul(f.coords(a), f.coords(b), p), f.modulus, p))
-                assert f.mul(a, b) == want
+                want = naive.pmod(naive.pmul(f.coords(a), f.coords(b), p),
+                                  f.modulus, p)
+                assert f.coords(f.mul(a, b)) == want
 
 
 def test_gf4_zeta_squared():
@@ -166,7 +166,7 @@ def test_untabled_field_paths():
     f = make_field(2, 9)
     assert f.mul_table().shape == (512, 512)
     assert f.mul(f.zeta, f.zeta) == 4  # x * x = x^2, index p^2
-    assert f.multiplicative_order(f.zeta) == f.q - 1
+    assert has_full_order(f, f.zeta)
     with pytest.raises(SizingError, match="1024 elements"):
         make_field(2, 10)
 
@@ -181,27 +181,20 @@ def test_coords_roundtrip():
         for a in f.elements():
             cs = f.coords(a)
             assert len(cs) == e and all(0 <= c < p for c in cs)
-            assert f.from_coords(cs) == a
+            assert sum(c * p ** i for i, c in enumerate(cs)) == a
         if e > 1:
             assert f.coords(f.zeta) == (0, 1) + (0,) * (e - 2)
+
+
+def has_full_order(f, a):
+    """True iff the powers of a run through every unit of f."""
+    return len({f.power(a, k) for k in range(f.q - 1)}) == f.q - 1
 
 
 def test_zeta_has_full_order():
     for p, e in TRIPLE_FIELDS + PAIR_FIELDS:
         f = make_field(p, e)
-        assert f.multiplicative_order(f.zeta) == f.q - 1
-
-
-def test_multiplicative_orders():
-    for p, e in [(5, 1), (3, 2), (2, 4), (7, 1)]:
-        f = make_field(p, e)
-        for a in f.units():
-            k = f.multiplicative_order(a)
-            assert (f.q - 1) % k == 0
-            assert f.power(a, k) == 1
-            assert all(f.power(a, d) != 1 for d in range(1, k))
-        full = sum(f.multiplicative_order(a) == f.q - 1 for a in f.units())
-        assert full == naive.euler_phi(f.q - 1)
+        assert has_full_order(f, f.zeta)
 
 
 def test_power_negative_exponents():
@@ -243,7 +236,7 @@ def test_representation_acts_on_coordinate_rows():
         psi = f.regular_representation(a)
         for b in f.elements():
             row = np.array(f.coords(b))
-            assert f.from_coords(row @ psi % f.p) == f.mul(b, a)
+            assert tuple(row @ psi % f.p) == f.coords(f.mul(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,3 @@ def test_operand_range_checks():
         f.coords(81)  # an index from GF(81) is not a GF(9) element
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.multiplicative_order(0)
-    with pytest.raises(ValueError):
-        f.from_coords((1, 2, 0))

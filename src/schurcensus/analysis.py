@@ -30,11 +30,10 @@ concatenated), so composition reads left to right.
 
 from __future__ import annotations
 
-import contextlib
+import concurrent.futures
 import functools
 import logging
 import math
-import multiprocessing
 import os
 from typing import Iterator, NamedTuple, Optional
 
@@ -439,7 +438,8 @@ def cross_validate(field: Field, *, scope: str = "all",
     and |Aut| stand for every partition of the orbit.  The moment an orbit
     holding a predicted partition comes back schurian the whole run aborts
     with InconsistencyError, naming the first such partition.  Results
-    are in enumeration order whatever the worker count.
+    are in enumeration order whatever the worker count.  A worker that
+    dies raises concurrent.futures.process.BrokenProcessPool.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -468,9 +468,11 @@ def cross_validate(field: Field, *, scope: str = "all",
     workers = default_workers() if workers is None else max(1, int(workers))
     workers = min(workers, len(payloads))
     verdicts: dict = {}
-    with (multiprocessing.Pool(workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        produced = (pool.imap(_oracle_worker, payloads) if pool
+    # the executor module loads on first use, so runs without a pool
+    # never import it
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        produced = (pool.map(_oracle_worker, payloads) if pool
                     else map(_oracle_worker, payloads))
         for key, verdict in zip(representative, produced):
             if verdict[0] and key in first_predicted:
@@ -478,6 +480,11 @@ def cross_validate(field: Field, *, scope: str = "all",
                     f"partition {first_predicted[key]} is predicted "
                     f"non-schurian but the oracle finds it schurian")
             verdicts[key] = verdict
+    finally:
+        if pool is not None:
+            # drop the runs not yet started and join the workers, whose
+            # CPU time only then counts in the RUSAGE_CHILDREN of this process
+            pool.shutdown(cancel_futures=True)
 
     rows = [CrossRow(str(pi), predicts, *verdicts[key])
             for pi, key, predicts in entries]

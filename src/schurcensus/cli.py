@@ -12,8 +12,8 @@ fixed documented column order.  Group orders are serialized as decimal
 strings; they overflow 64-bit integers as early as the rank-2 scheme on
 5^2 points.  Exit status is 0 on success, 1 when a verification claim
 fails (a failed axiom check, an inconsistent schurian-test, a
-cross-validation contradiction), and 2 for usage, parse, and sizing
-problems.
+cross-validation contradiction) or a cross-validate worker process dies,
+and 2 for usage, parse, and sizing problems.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import Optional
 
 from .analysis import (
@@ -318,6 +319,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         data, code = _HANDLERS[args.command](args)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as exc:  # a cross-validate worker died
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:
         # covers parse errors, sizing errors, bad literals, unreadable files

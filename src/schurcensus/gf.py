@@ -339,11 +339,19 @@ _FIELD_LITERAL = re.compile(r"^(\d+)\^(\d+)$")
 
 
 def parse_field_literal(text: str) -> tuple[int, int]:
-    """Parse 'p^e' into (p, e); validation happens in make_field."""
+    """Parse 'p^e' into (p, e); validation happens in make_field.  A p or
+    e with more digits than the element cap is refused here, before int()
+    meets its own 4300-digit limit."""
     m = _FIELD_LITERAL.match(text.strip())
     if not m:
         raise ValueError(f"bad field literal {text!r}; expected the form 'p^e'")
-    return int(m.group(1)), int(m.group(2))
+    p, e = (digits.lstrip("0") or "0" for digits in m.groups())
+    for name, digits in (("p", p), ("e", e)):
+        if len(digits) > len(str(DEFAULT_ELEMENT_CAP)):
+            raise SizingError(
+                f"GF(p^e) with a {len(digits)}-digit {name} is above the cap "
+                f"of {DEFAULT_ELEMENT_CAP} elements")
+    return int(p), int(e)
 
 
 def field_from_literal(text: str) -> Field:

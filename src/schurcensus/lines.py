@@ -52,7 +52,10 @@ def slope_literal(field: Field, s: int) -> str:
 def parse_slope_literal(field: Field, text: str) -> int:
     if text == INFINITY_LITERAL:
         return field.q
-    if text.isdecimal() and str(int(text)) == text and int(text) < field.q:
+    # a slope never has more digits than q, and int() refuses strings
+    # past 4300 digits with an error of its own
+    if (text.isdecimal() and len(text) <= len(str(field.q))
+            and str(int(text)) == text and int(text) < field.q):
         return int(text)
     raise PartitionFormatError(
         f"unknown slope literal {text!r} for {field}; "

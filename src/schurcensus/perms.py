@@ -2,32 +2,33 @@
 
 Permutations on n points live as numpy index arrays: p[x] is the image of
 x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
-Schreier-Sims chain along the fixed base 0, 1, ..., n-1 (most levels stay
-trivial), which gives exact orders as big integers and fast membership
-sifting.  The levels below level 0 are already a chain for the stabilizer
-of 0, the only stabilizer the schurian oracle needs, so
-``point_stabilizer()`` shares them instead of building anew.
+Schreier-Sims chain along an explicit base (0, 1, ..., n-1 unless given),
+which gives exact orders as big integers and fast membership sifting.
+When the base starts at 0, the levels below level 0 are already a chain
+for the stabilizer of 0, the only stabilizer the schurian oracle needs,
+so ``point_stabilizer()`` shares them instead of building anew.
 
-``automorphism_group`` computes the full automorphism group of a
-``ColorGraph`` by individualization and refinement.  The refinement is a
-vectorized edge-colored analogue of naive vertex classification: each
-round sorts the rows of (edge color, neighbor color) codes and relabels by
-lexicographic rank, so equal colorings of isomorphic graphs always get
-equal labels.  The backtrack tree follows the leftmost branch as the
-canonical reference; sibling branches are cut by color histogram mismatch,
-abandoned as soon as one automorphism is found, and skipped entirely when
-an already known generator maps a previously handled sibling onto them.
-Every reported generator passes an exhaustive color-preservation check, so
-the group found is never too big.  A wrongly pruned branch can still lose
-generators and leave it too small; its stabilizer orbits then split a
-class and would give a false non-schurian verdict.  ``schurian_test`` in
-``analysis`` therefore refuses a group that is not transitive, as the
-automorphism group of a Cayley graph must be.
+``automorphism_group`` finds the automorphisms of a ``ColorGraph`` by
+individualization and refinement.  The refinement is a vectorized
+edge-colored analogue of naive vertex classification whose labels are
+canonical, so equal colorings of isomorphic graphs get equal labels.  The
+search has three steps.  The descent follows the leftmost path to a
+discrete leaf; the vertices it individualizes are the base.  The climb
+goes back over the path's cells, deepest first, and skips every sibling
+that the generators found so far map a tried sibling onto (each of them
+was found at that depth or deeper, so it fixes the base above it).  The
+witness step looks below each remaining sibling for one leaf matching the
+leftmost one.  The generators are then sifted, in the order found, into
+one chain along that base, each at its own depth.  Every generator passes
+an exhaustive color-preservation check, so the group is never too big; a
+wrongly pruned branch could still leave it too small, which is why
+``schurian_test`` in ``analysis`` refuses a group that is not transitive.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -89,43 +90,53 @@ def _orbit(seeds, gens) -> dict[int, tuple[int, np.ndarray] | None]:
 
 class PermGroup:
     """A permutation group on 0..degree-1 with a stabilizer chain along
-    the base 0, 1, ..., degree-1.
+    ``base``, which is 0, 1, ..., degree-1 unless given.
 
-    The chain level i holds the orbit of i under the subgroup fixing
-    0..i-1 pointwise, with a transversal permutation per orbit point.
-    ``generators`` keeps the input generators that actually enlarged the
-    group, in order of arrival; for a point stabilizer, the strong
-    generators of its chain.
+    Chain level i holds the orbit of base[i] under the subgroup fixing
+    base[:i] pointwise, with a transversal permutation per orbit point.
+    Only the identity may fix every base point: any other such permutation
+    is a non-member, and a generator that leaves one raises ValueError.
+    ``generators`` keeps the input generators that enlarged the group, in
+    order of arrival; for a point stabilizer, its chain's strong generators.
     """
 
-    def __init__(self, degree: int, generators=()):
+    def __init__(self, degree: int, generators=(), *, base=None):
         self.degree = degree
-        self._gens_at: list[list[np.ndarray]] = [[] for _ in range(degree)]
-        self._trans: list[dict[int, np.ndarray] | None] = [None] * degree
-        kept = []
-        for g in generators:
-            arr = as_permutation(degree, g)
-            if self._extend(arr):
-                kept.append(arr)
-        self.generators = tuple(kept)
+        self.base = tuple(range(degree)) if base is None else tuple(map(int, base))
+        if len(set(self.base) & set(range(degree))) != len(self.base):
+            raise ValueError(f"base {base!r} repeats a point or leaves 0..{degree - 1}")
+        self._gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
+        self._trans: list[dict[int, np.ndarray] | None] = [None] * len(self.base)
+        perms = (as_permutation(degree, g) for g in generators)
+        self.generators = tuple(arr for arr in perms if self._extend(arr))
 
     # -- chain maintenance
 
     def _strong_gens_from(self, level: int) -> list[np.ndarray]:
-        return [g for lvl in range(level, self.degree) for g in self._gens_at[lvl]]
+        return [g for gens in self._gens_at[level:] for g in gens]
 
     def _sift(self, g: np.ndarray, start: int):
-        """Reduce g through chain levels >= start; None means g factored
-        over the transversals completely (i.e. membership)."""
-        for i in range(start, self.degree):
-            beta = int(g[i])
-            if beta == i:
+        """Reduce g through chain levels >= start.  None means g factored
+        over the transversals completely (i.e. membership); otherwise
+        (level, residue), where level len(base) means a residue that
+        fixes every base point without being the identity."""
+        for i in range(start, len(self.base)):
+            point = self.base[i]
+            beta = int(g[point])
+            if beta == point:
                 continue
             trans = self._trans[i]
             if trans is None or beta not in trans:
                 return i, g
             g = compose(inverse_perm(trans[beta]), g)
-        return None
+        return None if is_identity(g) else (len(self.base), g)
+
+    def _add_strong(self, level: int, h: np.ndarray) -> int:
+        if level == len(self.base):
+            raise ValueError(
+                f"{self.base} is not a base: a non-identity permutation fixes all of it")
+        self._gens_at[level].append(h)
+        return level
 
     def _close_level(self, i: int):
         """Rebuild orbit and transversal at level i, then push every
@@ -133,7 +144,7 @@ class PermGroup:
         that received a new generator, or None once level i is closed."""
         gens = self._strong_gens_from(i)
         trans: dict[int, np.ndarray] = {}
-        for beta, edge in _orbit([i], gens).items():
+        for beta, edge in _orbit([self.base[i]], gens).items():
             if edge is None:
                 trans[beta] = identity_perm(self.degree)
             else:
@@ -147,9 +158,7 @@ class PermGroup:
                     continue
                 res = self._sift(s, i + 1)
                 if res is not None:
-                    level, h = res
-                    self._gens_at[level].append(h)
-                    return level
+                    return self._add_strong(*res)
         return None
 
     def _extend(self, g: np.ndarray) -> bool:
@@ -157,9 +166,7 @@ class PermGroup:
         res = self._sift(g, 0)
         if res is None:
             return False
-        level, h = res
-        self._gens_at[level].append(h)
-        i = level
+        i = self._add_strong(*res)
         while i >= 0:
             moved = self._close_level(i)
             i = moved if moved is not None else i - 1
@@ -168,11 +175,7 @@ class PermGroup:
     # -- queries
 
     def order(self) -> int:
-        total = 1
-        for trans in self._trans:
-            if trans is not None:
-                total *= len(trans)
-        return total
+        return math.prod(len(trans) for trans in self._trans if trans is not None)
 
     def __contains__(self, perm) -> bool:
         return self._sift(as_permutation(self.degree, perm), 0) is None
@@ -189,12 +192,14 @@ class PermGroup:
         return tuple(out)
 
     def point_stabilizer(self) -> "PermGroup":
-        """The subgroup fixing 0, the first base point.
+        """The subgroup fixing 0, which must be the first base point.
 
         The chain levels >= 1 already form a chain for it, so they are
         shared and level 0 is left trivial; no Schreier-Sims work is
         done."""
-        stab = PermGroup(self.degree)
+        if self.base[:1] != (0,):
+            raise ValueError(f"point 0 is not the first point of the base {self.base}")
+        stab = PermGroup(self.degree, base=self.base)
         stab._gens_at = [[]] + [list(gens) for gens in self._gens_at[1:]]
         stab._trans = [None] + self._trans[1:]
         stab.generators = tuple(stab._strong_gens_from(1))
@@ -266,83 +271,75 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
         colors, k = fresh, knew
 
 
-def _individualized(colors: np.ndarray, v: int) -> np.ndarray:
+def _individualized(graph: ColorGraph, colors: np.ndarray, v: int) -> np.ndarray:
+    """The refinement of ``colors`` after giving v a color of its own."""
     out = colors.copy()
     out[v] = colors.max() + 1
-    return out
+    return color_refinement(graph, out)
 
 
-def _known_maps_to(w: int, tried: list[int], gens: list[np.ndarray],
-                   fixed: list[int]) -> bool:
-    """True when some product of known generators fixing ``fixed``
-    pointwise sends a vertex in ``tried`` to w."""
-    anchor = np.asarray(fixed, dtype=np.int32)
-    keep = [g for g in gens if np.array_equal(g[anchor], anchor)]
-    return w in _orbit(tried, keep)
+def _target_cell(colors: np.ndarray):
+    """The first color class with two or more vertices; None once discrete."""
+    big = np.flatnonzero(np.bincount(colors) >= 2)
+    return np.flatnonzero(colors == big[0]) if big.size else None
 
 
 def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> PermGroup:
-    """The full automorphism group of an edge-colored graph."""
+    """The full automorphism group of an edge-colored graph, with its
+    chain along the base the search individualized."""
     n = graph.n
     if n > cap:
         raise SizingError(
             f"automorphism search on {n} vertices exceeds the cap of {cap}")
     ec = graph.edge_colors
-    gens: list[np.ndarray] = []
-    base_hists: list[bytes] = []
-    base_prefix: list[int] = []
-    base_leaf: list = [None]
-    stats = {"nodes": 0, "tests": 0}
 
-    def explore(colors: np.ndarray, depth: int, on_base: bool):
-        stats["nodes"] += 1
-        hist = np.bincount(colors).tobytes()
-        if on_base:
-            base_hists.append(hist)
-        elif depth >= len(base_hists) or hist != base_hists[depth]:
+    # descent: the leftmost path, its color histograms and its leaf
+    path = []  # (coloring, target cell) per level above the leaf
+    colors = color_refinement(graph)
+    hists = [np.bincount(colors).tobytes()]
+    while (cell := _target_cell(colors)) is not None:
+        path.append((colors, cell))
+        colors = _individualized(graph, colors, int(cell[0]))
+        hists.append(np.bincount(colors).tobytes())
+    base = [int(cell[0]) for _, cell in path]
+    leaf = np.argsort(colors, kind="stable")
+    nodes, tests = len(hists), 0
+
+    def witness(colors: np.ndarray, depth: int):
+        """An automorphism sending the leftmost leaf into this subtree,
+        or None when there is none."""
+        nonlocal nodes, tests
+        nodes += 1
+        if np.bincount(colors).tobytes() != hists[depth]:
             return None
-        if int(colors.max()) == n - 1:  # discrete: a leaf
-            leaf = np.argsort(colors, kind="stable").astype(np.int32)
-            if base_leaf[0] is None:
-                base_leaf[0] = leaf
-                return None
+        cell = _target_cell(colors)
+        if cell is None:
+            tests += 1
             perm = np.empty(n, dtype=np.int32)
-            perm[base_leaf[0]] = leaf
-            stats["tests"] += 1
-            if np.array_equal(ec[perm[:, None], perm[None, :]], ec):
-                return perm
-            return None
-        counts = np.bincount(colors)
-        cell = np.flatnonzero(colors == int(np.flatnonzero(counts >= 2)[0]))
-        if on_base:
-            v = int(cell[0])
-            base_prefix.append(v)
-            explore(color_refinement(graph, _individualized(colors, v)),
-                    depth + 1, True)
-            tried = [v]
-            for w in cell[1:]:
-                w = int(w)
-                if _known_maps_to(w, tried, gens, base_prefix[:depth]):
-                    continue
-                found = explore(
-                    color_refinement(graph, _individualized(colors, w)),
-                    depth + 1, False)
-                if found is not None:
-                    gens.append(found)
-                tried.append(w)
-            return None
+            perm[leaf] = np.argsort(colors, kind="stable")
+            return perm if np.array_equal(ec[perm[:, None], perm[None, :]], ec) else None
         for w in cell:
-            found = explore(
-                color_refinement(graph, _individualized(colors, int(w))),
-                depth + 1, False)
+            found = witness(_individualized(graph, colors, int(w)), depth + 1)
             if found is not None:
-                return found  # one coset witness is enough for this branch
+                return found
         return None
 
-    explore(color_refinement(graph), 0, True)
-    group = PermGroup(n, gens)
+    # climb: one witness per sibling the known generators do not reach
+    gens: list[np.ndarray] = []
+    for depth in reversed(range(len(path))):
+        colors, cell = path[depth]
+        tried = [base[depth]]
+        for w in map(int, cell[1:]):
+            if w in _orbit(tried, gens):
+                continue
+            found = witness(_individualized(graph, colors, w), depth + 1)
+            if found is not None:
+                gens.append(found)
+            tried.append(w)
+
+    group = PermGroup(n, gens, base=base)
     logger.debug(
         "automorphism search on %d vertices: %d nodes, %d leaf tests, "
         "%d generators, order %d",
-        n, stats["nodes"], stats["tests"], len(gens), group.order())
+        n, nodes, tests, len(gens), group.order())
     return group

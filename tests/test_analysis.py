@@ -2,6 +2,9 @@
 
 import logging
 import math
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -444,5 +447,23 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
 
     def no_pool(*args):
         raise AssertionError("a pool was started on a single allowed CPU")
-    monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert cross_validate(make_field(3, 1)).total == 15
+
+
+_real_worker = analysis._oracle_worker
+
+
+def _worker_dying_on_one_class(payload):
+    if len(payload[1]) == 1:
+        os._exit(1)  # no exception, no cleanup: as if killed
+    return _real_worker(payload)
+
+
+def test_a_dead_worker_breaks_the_run(monkeypatch):
+    # the pool used to lose the dead worker's task and wait for it forever
+    monkeypatch.setattr(analysis, "_oracle_worker", _worker_dying_on_one_class)
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        cross_validate(make_field(3, 1), workers=2)
+    assert time.perf_counter() - start < 30

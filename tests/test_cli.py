@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from schurcensus.analysis import Census, SchurianReport, cross_validate
 from schurcensus.errors import InconsistencyError
 from schurcensus.lines import LinePartition, load_partition, wielandt_partition
 from schurcensus.schur import SchurBasis, structure_constants
-from schurcensus import cli
+from schurcensus import analysis, cli
 
 
 def fixture(name):
@@ -312,6 +313,17 @@ def test_inconsistency_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cross_validate", boom)
     assert cli.main(["cross-validate", "--field", "5^1"]) == 1
     assert "inconsistency" in capsys.readouterr().err
+
+
+def _dying_worker(payload):
+    os._exit(1)
+
+
+def test_dead_worker_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "_oracle_worker", _dying_worker)
+    assert cli.main(["cross-validate", "--field", "3^1", "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_inconsistent_schurian_report_exits_1_but_still_reports(monkeypatch,

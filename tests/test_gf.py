@@ -79,10 +79,12 @@ def test_construction_errors():
 
 def test_huge_literals_are_refused_before_arithmetic():
     # trial division of p, the power p**e or printing it would not finish
-    # (or would overflow the int-to-str digit limit) on these
+    # (or would overflow the int-to-str digit limit) on these, and int()
+    # itself refuses the last two, past its 4300-digit limit
     start = time.perf_counter()
     for text in ("2^20000", "2^1000000000", "1000000000000000003^1",
-                 "1000000000000000003^1000000000"):
+                 "1000000000000000003^1000000000", "2^" + "1" * 5000,
+                 "1" * 5000 + "^1"):
         with pytest.raises(SizingError, match="above the cap of 512 elements"):
             field_from_literal(text)
     assert time.perf_counter() - start < 1.0

@@ -85,7 +85,8 @@ def test_slope_literals():
     assert parse_slope_literal(field, "inf") == 5
     assert parse_slope_literal(field, "0") == 0
     # superscripts pass str.isdigit() but int() refuses them
-    for bad in ("5", "-1", "03", " 1", "oo", "", "\u00b2", "1\u00b9"):
+    # and a digit string past int()'s 4300-digit limit is still a bad slope
+    for bad in ("5", "-1", "03", " 1", "oo", "", "\u00b2", "1\u00b9", "1" * 5000):
         with pytest.raises(PartitionFormatError, match=re.escape(repr(bad))):
             parse_slope_literal(field, bad)
     with pytest.raises(ValueError):

@@ -1,12 +1,18 @@
 """Permutation chains, color refinement and the automorphism search."""
 
+import itertools
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
 import naive
+from schurcensus.analysis import cayley_color_graph
 from schurcensus.errors import SizingError
+from schurcensus.gf import field_from_literal
+from schurcensus.lines import one_class_partition, singleton_partition, wielandt_partition
 from schurcensus.perms import (
     ColorGraph,
     PermGroup,
@@ -18,6 +24,7 @@ from schurcensus.perms import (
     inverse_perm,
     is_identity,
 )
+from schurcensus.schur import SchurBasis
 
 
 def graph_from_edges(n, edges, *, edge_color=1, non_edge=0, loop=2):
@@ -75,20 +82,39 @@ def test_cyclic_and_trivial_and_klein():
     assert klein.order() == 4
 
 
+def closure_orbits(elements, n):
+    return tuple(sorted({tuple(sorted({p[x] for p in elements})) for x in range(n)}))
+
+
 def test_order_and_membership_against_closure():
+    everything = list(itertools.permutations(range(6)))
     rng = np.random.default_rng(7)
     for _ in range(8):
         gens = [tuple(rng.permutation(6)) for _ in range(2)]
-        group = PermGroup(6, gens)
         closure = naive.perm_closure(gens)
-        assert group.order() == len(closure)
-        for el in sorted(closure)[:50]:
-            assert el in group
-        if len(closure) < 720:
-            import itertools
-            outside = next(p for p in itertools.permutations(range(6))
-                           if p not in closure)
-            assert outside not in group
+        for base in (None, (3, 0, 5, 1, 4, 2)):
+            group = PermGroup(6, gens, base=base)
+            assert group.order() == len(closure)
+            for p in everything:
+                assert (p in group) == (p in closure)
+            assert group.orbits() == closure_orbits(closure, 6)
+            if group.base[0] != 0:
+                with pytest.raises(ValueError, match="first point of the base"):
+                    group.point_stabilizer()
+
+
+def test_only_the_identity_fixes_the_base():
+    # in the group of the 3-cycle (0 1 2) only the identity fixes 0, so
+    # (0,) is a base; the transposition (1 2) fixes 0 but is no member
+    cyclic = PermGroup(4, [[1, 2, 0, 3]], base=(0,))
+    assert cyclic.order() == 3
+    assert [0, 2, 1, 3] not in cyclic
+    assert [0, 1, 2, 3] in cyclic
+    with pytest.raises(ValueError, match="not a base"):
+        PermGroup(4, [[1, 2, 0, 3], [0, 2, 1, 3]], base=(0,))
+    for bad in ((0, 0), (4,), (-1, 2)):
+        with pytest.raises(ValueError, match="repeats a point or leaves"):
+            PermGroup(4, base=bad)
 
 
 def test_generators_keep_only_extenders():
@@ -115,19 +141,17 @@ def test_point_stabilizer_symmetric():
 
 
 def test_point_stabilizer_matches_closure():
-    import itertools
     everything = list(itertools.permutations(range(6)))
     rng = np.random.default_rng(11)
     for _ in range(6):
         gens = [tuple(rng.permutation(6)) for _ in range(2)]
-        group = PermGroup(6, gens)
         fixing = {p for p in naive.perm_closure(gens) if p[0] == 0}
-        stab = group.point_stabilizer()
-        assert stab.order() == len(fixing)
-        assert stab.orbits() == tuple(sorted(
-            {tuple(sorted({p[x] for p in fixing})) for x in range(6)}))
-        for p in everything:
-            assert (p in stab) == (p in fixing)
+        for base in (None, (0, 4, 2, 5, 1, 3)):
+            stab = PermGroup(6, gens, base=base).point_stabilizer()
+            assert stab.order() == len(fixing)
+            assert stab.orbits() == closure_orbits(fixing, 6)
+            for p in everything:
+                assert (p in stab) == (p in fixing)
     assert PermGroup(5, [[1, 2, 3, 4, 0]]).point_stabilizer().order() == 1
 
 
@@ -230,6 +254,37 @@ def test_search_is_deterministic():
     assert len(a.generators) == len(b.generators)
     for x, y in zip(a.generators, b.generators):
         assert np.array_equal(x, y)
+
+
+def test_star_search_starts_at_a_leaf():
+    # refinement sets the center 0 apart, so the search individualizes the
+    # leaf 1 first and Stab(0) is not the tail of the chain
+    group = check_against_brute_force(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+    assert group.base[0] == 1
+    with pytest.raises(ValueError, match="first point of the base"):
+        group.point_stabilizer()
+
+
+STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
+                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
+
+
+@pytest.mark.parametrize("make,literal,record", [
+    (wielandt_partition, "5^1", (25, 15, 10, 3, 100)),
+    (one_class_partition, "5^1", (25, 325, 24, 24, math.factorial(25))),
+    (wielandt_partition, "7^1", (49, 24, 19, 4, 294)),
+    (singleton_partition, "2^3", (64, 8, 3, 3, 448)),
+    pytest.param(one_class_partition, "3^2", (81, 3321, 80, 80, math.factorial(81)),
+                 marks=[pytest.mark.stretch, STRETCH]),
+])
+def test_search_record(caplog, make, literal, record):
+    # (vertices, nodes, leaf tests, generators, order) of the DEBUG record
+    caplog.set_level(logging.DEBUG, logger="schurcensus.perms")
+    basis = SchurBasis.from_partition(make(field_from_literal(literal)))
+    group = automorphism_group(cayley_color_graph(basis))
+    [args] = [r.args for r in caplog.records if r.name == "schurcensus.perms"]
+    assert args == record
+    assert group.base[0] == 0
 
 
 def test_search_cap():

@@ -207,6 +207,8 @@ def _load_matrix(path: str, field: Field):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise PartitionFormatError(f"{path}: not valid JSON: {exc}") from None
         except RecursionError:
             raise PartitionFormatError(
                 f"{path}: not valid JSON: nested too deeply") from None

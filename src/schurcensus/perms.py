@@ -18,11 +18,12 @@ goes back over the path's cells, deepest first, and skips every sibling
 that the generators found so far map a tried sibling onto (each of them
 was found at that depth or deeper, so it fixes the base above it).  The
 witness step looks below each remaining sibling for one leaf matching the
-leftmost one.  The generators are then sifted, in the order found, into
-one chain along that base, each at its own depth.  Every generator passes
-an exhaustive color-preservation check, so the group is never too big; a
-wrongly pruned branch could still leave it too small, which is why
-``schurian_test`` in ``analysis`` refuses a group that is not transitive.
+leftmost one.  Each generator enters the chain along that base at its own
+depth, and the levels are closed once each, deepest first.  Every
+generator passes an exhaustive color-preservation check, so the group is
+never too big; a wrongly pruned branch could still leave it too small,
+which is why ``schurian_test`` in ``analysis`` refuses a group that is
+not transitive.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def is_identity(a: np.ndarray) -> bool:
 
 
 def as_permutation(n: int, seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int32)
-    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+    """``seq`` as an int32 array; ValueError unless it holds the integers 0..n-1."""
+    arr = np.asarray(seq)
+    if (arr.dtype.kind not in "iu" or arr.shape != (n,)
+            or not np.array_equal(np.sort(arr), np.arange(n))):
         raise ValueError(f"not a permutation of 0..{n - 1}: {seq!r}")
-    return arr
+    return arr.astype(np.int32, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +96,15 @@ class PermGroup:
     ``base``, which is 0, 1, ..., degree-1 unless given.
 
     Chain level i holds the orbit of base[i] under the subgroup fixing
-    base[:i] pointwise, with a transversal permutation per orbit point.
-    Only the identity may fix every base point: any other such permutation
-    is a non-member, and a generator that leaves one raises ValueError.
-    ``generators`` keeps the input generators that enlarged the group, in
-    order of arrival; for a point stabilizer, its chain's strong generators.
+    base[:i] pointwise.  Its transversal is stored inverted: each orbit
+    point maps to a member taking that point back to base[i], so sifting
+    only composes.  Each generator starts at the first level whose base
+    point it moves, and the levels are closed once each, deepest first; a
+    Schreier generator that fails to sift restarts the sweep at the level
+    it stopped at.  Only the identity may fix every base point: any other
+    such permutation is a non-member, and a generator that leaves one
+    raises ValueError.  ``generators`` holds the input generators; for a
+    point stabilizer, its chain's strong generators.
     """
 
     def __init__(self, degree: int, generators=(), *, base=None):
@@ -107,8 +114,14 @@ class PermGroup:
             raise ValueError(f"base {base!r} repeats a point or leaves 0..{degree - 1}")
         self._gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
         self._trans: list[dict[int, np.ndarray] | None] = [None] * len(self.base)
-        perms = (as_permutation(degree, g) for g in generators)
-        self.generators = tuple(arr for arr in perms if self._extend(arr))
+        self.generators = tuple(as_permutation(degree, g) for g in generators)
+        # no transversal exists yet, so each sift stops where g first moves the base
+        for res in (self._sift(g, 0) for g in self.generators):
+            if res is not None:
+                self._add_strong(*res)
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._close_level(i)
 
     # -- chain maintenance
 
@@ -117,9 +130,8 @@ class PermGroup:
 
     def _sift(self, g: np.ndarray, start: int):
         """Reduce g through chain levels >= start.  None means g factored
-        over the transversals completely (i.e. membership); otherwise
-        (level, residue), where level len(base) means a residue that
-        fixes every base point without being the identity."""
+        completely (membership); otherwise (level, residue), where level
+        len(base) means a residue fixing the base but not the identity."""
         for i in range(start, len(self.base)):
             point = self.base[i]
             beta = int(g[point])
@@ -128,7 +140,7 @@ class PermGroup:
             trans = self._trans[i]
             if trans is None or beta not in trans:
                 return i, g
-            g = compose(inverse_perm(trans[beta]), g)
+            g = compose(trans[beta], g)
         return None if is_identity(g) else (len(self.base), g)
 
     def _add_strong(self, level: int, h: np.ndarray) -> int:
@@ -138,39 +150,26 @@ class PermGroup:
         self._gens_at[level].append(h)
         return level
 
-    def _close_level(self, i: int):
+    def _close_level(self, i: int) -> int:
         """Rebuild orbit and transversal at level i, then push every
         Schreier generator through the deeper levels.  Returns the level
-        that received a new generator, or None once level i is closed."""
+        to close next: the one that received a new generator, or i - 1."""
         gens = self._strong_gens_from(i)
-        trans: dict[int, np.ndarray] = {}
+        reps = {self.base[i]: identity_perm(self.degree)}
         for beta, edge in _orbit([self.base[i]], gens).items():
-            if edge is None:
-                trans[beta] = identity_perm(self.degree)
-            else:
-                prev, g = edge
-                trans[beta] = compose(g, trans[prev])
+            if edge is not None:
+                reps[beta] = compose(edge[1], reps[edge[0]])
+        trans = {beta: inverse_perm(u) for beta, u in reps.items()}
         self._trans[i] = trans
-        for beta, ub in trans.items():
+        for beta, ub in reps.items():
             for g in gens:
-                s = compose(inverse_perm(trans[int(g[beta])]), compose(g, ub))
+                s = compose(trans[int(g[beta])], compose(g, ub))
                 if is_identity(s):
                     continue
                 res = self._sift(s, i + 1)
                 if res is not None:
                     return self._add_strong(*res)
-        return None
-
-    def _extend(self, g: np.ndarray) -> bool:
-        """Add one permutation; False when it was already a member."""
-        res = self._sift(g, 0)
-        if res is None:
-            return False
-        i = self._add_strong(*res)
-        while i >= 0:
-            moved = self._close_level(i)
-            i = moved if moved is not None else i - 1
-        return True
+        return i - 1
 
     # -- queries
 
@@ -199,8 +198,9 @@ class PermGroup:
         done."""
         if self.base[:1] != (0,):
             raise ValueError(f"point 0 is not the first point of the base {self.base}")
-        stab = PermGroup(self.degree, base=self.base)
-        stab._gens_at = [[]] + [list(gens) for gens in self._gens_at[1:]]
+        stab = PermGroup.__new__(PermGroup)
+        stab.degree, stab.base = self.degree, self.base
+        stab._gens_at = [[]] + self._gens_at[1:]
         stab._trans = [None] + self._trans[1:]
         stab.generators = tuple(stab._strong_gens_from(1))
         return stab

@@ -264,6 +264,21 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert not captured.out
 
 
+@pytest.mark.parametrize("command", ["check-condition", "invariant-slopes"])
+def test_truncated_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "truncated.json"
+    if command == "invariant-slopes":
+        path.write_text('{"matrix": [[1, 0], [0 1]]}')
+        argv = [command, "--field", "5^1", "--partition", str(path)]
+    else:
+        path.write_text('{"field": "5^1", "classes": [["0"')
+        argv = [command, "--partition", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not valid JSON" in captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("matrix", [
     [[1.5, 0], [0, True]],
     [["1", "0"], ["0", "1"]],

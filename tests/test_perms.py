@@ -54,10 +54,13 @@ def test_perm_primitives():
         assert is_identity(compose(a, inverse_perm(a)))
         assert is_identity(compose(inverse_perm(a), a))
     assert is_identity(identity_perm(6))
-    with pytest.raises(ValueError):
-        as_permutation(4, [0, 1, 2, 2])
-    with pytest.raises(ValueError):
-        as_permutation(4, [0, 1, 2])
+    # a repeat, a short list, floats, bools and an int past int32
+    for n, seq in [(4, [0, 1, 2, 2]), (4, [0, 1, 2]), (3, [1.9, 0, 2]), (2, [0.0, 1.0]),
+                   (2, [True, False]), (2, [2**40, 0])]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            as_permutation(n, seq)
+    with pytest.raises(ValueError, match="not a permutation"):
+        [1.9, 0, 2] in PermGroup(3, [[1, 0, 2]])
 
 
 def sym_group(n):
@@ -89,11 +92,16 @@ def closure_orbits(elements, n):
 def test_order_and_membership_against_closure():
     everything = list(itertools.permutations(range(6)))
     rng = np.random.default_rng(7)
-    for _ in range(8):
-        gens = [tuple(rng.permutation(6)) for _ in range(2)]
+    # a repeated generator and its square generate no more than it does
+    g = (1, 2, 0, 3, 4, 5)
+    inputs = [[g, g, (2, 0, 1, 3, 4, 5)]]
+    inputs += [[tuple(rng.permutation(6)) for _ in range(2)] for _ in range(8)]
+    assert len(naive.perm_closure(inputs[0])) == 3
+    for gens in inputs:
         closure = naive.perm_closure(gens)
         for base in (None, (3, 0, 5, 1, 4, 2)):
             group = PermGroup(6, gens, base=base)
+            assert len(group.generators) == len(gens)
             assert group.order() == len(closure)
             for p in everything:
                 assert (p in group) == (p in closure)
@@ -115,13 +123,6 @@ def test_only_the_identity_fixes_the_base():
     for bad in ((0, 0), (4,), (-1, 2)):
         with pytest.raises(ValueError, match="repeats a point or leaves"):
             PermGroup(4, base=bad)
-
-
-def test_generators_keep_only_extenders():
-    g = [1, 2, 0, 3]
-    group = PermGroup(4, [g, g, [2, 0, 1, 3]])
-    assert len(group.generators) == 1
-    assert group.order() == 3
 
 
 def test_orbits():
@@ -285,6 +286,27 @@ def test_search_record(caplog, make, literal, record):
     [args] = [r.args for r in caplog.records if r.name == "schurcensus.perms"]
     assert args == record
     assert group.base[0] == 0
+
+
+@pytest.mark.parametrize("make,base_length", [
+    (one_class_partition, 24),
+    (wielandt_partition, 2),
+])
+def test_each_level_is_closed_once(monkeypatch, make, base_length):
+    # the search hands over a strong generating set, so no Schreier
+    # generator reopens a level of the chain
+    calls = []
+    close_level = PermGroup._close_level
+
+    def counted(self, i):
+        calls.append(i)
+        return close_level(self, i)
+
+    monkeypatch.setattr(PermGroup, "_close_level", counted)
+    basis = SchurBasis.from_partition(make(field_from_literal("5^1")))
+    group = automorphism_group(cayley_color_graph(basis))
+    assert len(group.base) == base_length
+    assert calls == list(reversed(range(base_length)))
 
 
 def test_search_cap():

@@ -13,6 +13,11 @@ cell) induces a partition of V that downstream modules turn into a Schur
 ring basis.  The distinguished slope set M of a partition collects the
 slopes whose class is a singleton.
 
+A census visits all Bell(q + 1) partitions, so the per-partition path is
+kept to a few C-level calls: ``enumerate_partitions`` walks the canonical
+class tuples depth first without recursion, ``LinePartition`` checks its
+input in one pass and prints from a per-field tuple of slope literals.
+
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
 slopes and on their partitions.  ``slope_symmetries`` gives generators of
 that action, and ``OrbitKeys`` names each partition's orbit by its least
@@ -22,6 +27,7 @@ member.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -95,23 +101,29 @@ def _punctured_index_cache(field: Field) -> tuple[tuple[int, ...], ...]:
 
 class LinePartition:
     """A partition of the slopes of ``field``, held in canonical form:
-    slopes sorted inside each class, classes sorted by least member."""
+    slopes sorted inside each class, classes sorted by least member.
+
+    The input is checked in one pass: every class non-empty and the sorted
+    slopes exactly 0..q.  Only input failing that is walked slope by slope,
+    to name its first fault in the ValueError."""
 
     __slots__ = ("field", "classes")
 
     def __init__(self, field: Field, classes: Iterable[Iterable[int]]):
-        canon = tuple(sorted(tuple(sorted(c)) for c in classes))
-        seen: set[int] = set()
-        for cls in canon:
-            if not cls:
-                raise ValueError("empty class in line partition")
-            for s in cls:
-                if not 0 <= s <= field.q:
-                    raise ValueError(f"{s} is not a slope for {field}")
-                if s in seen:
-                    raise ValueError(f"slope {slope_literal(field, s)} occurs twice")
-                seen.add(s)
-        if len(seen) != field.q + 1:
+        canon = tuple(sorted(map(tuple, map(sorted, classes))))
+        if not (all(canon) and sorted(itertools.chain.from_iterable(canon))
+                == list(all_slopes(field))):
+            # not a partition of the slopes: find the first fault and name it
+            seen: set[int] = set()
+            for cls in canon:
+                if not cls:
+                    raise ValueError("empty class in line partition")
+                for s in cls:
+                    if not 0 <= s <= field.q:
+                        raise ValueError(f"{s} is not a slope for {field}")
+                    if s in seen:
+                        raise ValueError(f"slope {slope_literal(field, s)} occurs twice")
+                    seen.add(s)
             missing = [slope_literal(field, s) for s in all_slopes(field)
                        if s not in seen]
             raise ValueError(f"partition misses slopes {{{', '.join(missing)}}}")
@@ -126,12 +138,16 @@ class LinePartition:
         return hash((self.field, self.classes))
 
     def __str__(self) -> str:
-        return "|".join(
-            ",".join(slope_literal(self.field, s) for s in cls)
-            for cls in self.classes)
+        literals = _slope_literals(self.field).__getitem__
+        return "|".join([",".join(map(literals, cls)) for cls in self.classes])
 
     def __repr__(self) -> str:
         return f"LinePartition({self.field.literal!r}, {str(self)!r})"
+
+
+@functools.lru_cache(maxsize=None)
+def _slope_literals(field: Field) -> tuple[str, ...]:
+    return tuple(slope_literal(field, s) for s in all_slopes(field))
 
 
 def singleton_partition(field: Field) -> LinePartition:
@@ -305,29 +321,37 @@ def enumerate_partitions(
 ) -> Iterator[LinePartition]:
     """Stream every partition of the slope set in restricted-growth-string
     order (so the one-class partition comes first and the all-singleton
-    partition last), optionally filtered by ``predicate``.  Fields with
-    more than ``DEFAULT_CENSUS_CAP`` slopes raise SizingError."""
+    partition last), optionally filtered by ``predicate``.
+
+    The stream is an iterative depth-first walk over canonical class
+    tuples: slope i joins each class in turn, then opens a class of its
+    own.  Fields with more than ``DEFAULT_CENSUS_CAP`` slopes raise
+    SizingError here, before anything is iterated."""
     n = field.q + 1
     if n > DEFAULT_CENSUS_CAP:
         raise SizingError(
             f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
             f"(Bell numbers grow too fast beyond that)")
-    labels = [0] * n
+    partitions = map(functools.partial(LinePartition, field),
+                     itertools.chain.from_iterable(_class_tuples(n)))
+    return partitions if predicate is None else filter(predicate, partitions)
 
-    def rec(i: int, top: int) -> Iterator[LinePartition]:
-        if i == n:
-            blocks: dict[int, list[int]] = {}
-            for s, lab in enumerate(labels):
-                blocks.setdefault(lab, []).append(s)
-            pi = LinePartition(field, blocks.values())
-            if predicate is None or predicate(pi):
-                yield pi
-            return
-        for v in range(top + 2):
-            labels[i] = v
-            yield from rec(i + 1, max(top, v))
 
-    return rec(1, 0)
+def _class_tuples(n: int) -> Iterator[list[Classes]]:
+    """The canonical class tuples of the partitions of 0..n-1 (n >= 2) in
+    restricted-growth-string order, as one list per placement of the
+    slopes below n - 1: the ways of adding slope n - 1 to it."""
+    last = n - 1
+    stack: list[tuple[int, Classes]] = [(1, ((0,),))]
+    while stack:
+        i, classes = stack.pop()
+        grown = [classes[:j] + (cls + (i,),) + classes[j + 1:]
+                 for j, cls in enumerate(classes)]
+        grown.append(classes + ((i,),))
+        if i == last:
+            yield grown
+        else:
+            stack.extend((i + 1, c) for c in reversed(grown))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ search has three steps.  The descent follows the leftmost path to a
 discrete leaf; the vertices it individualizes are the base.  The climb
 goes back over the path's cells, deepest first, and skips every sibling
 that the generators found so far map a tried sibling onto (each of them
-was found at that depth or deeper, so it fixes the base above it).  The
+was found at that depth or deeper, so it fixes the base above it).  That
+orbit is kept while the climb crosses a cell: a sibling with no witness
+adds its own orbit, and only a new generator rebuilds it.  The
 witness step looks below each remaining sibling for one leaf matching the
 leftmost one.  Each generator enters the chain along that base at its own
 depth, and the levels are closed once each, deepest first.  Every
@@ -329,13 +331,18 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
     for depth in reversed(range(len(path))):
         colors, cell = path[depth]
         tried = [base[depth]]
+        reached = _orbit(tried, gens)
         for w in map(int, cell[1:]):
-            if w in _orbit(tried, gens):
+            if w in reached:
                 continue
             found = witness(_individualized(graph, colors, w), depth + 1)
+            tried.append(w)
             if found is not None:
                 gens.append(found)
-            tried.append(w)
+                reached = _orbit(tried, gens)
+            else:
+                # w's orbit is disjoint from the one reached so far
+                reached.update(_orbit([w], gens))
 
     group = PermGroup(n, gens, base=base)
     logger.debug(

@@ -107,14 +107,24 @@ def test_partition_canonical_form():
 
 def test_partition_rejects_garbage():
     field = make_field(3, 1)
-    with pytest.raises(ValueError):
-        LinePartition(field, [[0, 1], [1, 2, 3]])  # slope 1 twice
-    with pytest.raises(ValueError):
-        LinePartition(field, [[0, 1]])  # misses 2 and inf
-    with pytest.raises(ValueError):
-        LinePartition(field, [[0, 1, 2, 3], []])
-    with pytest.raises(ValueError):
-        LinePartition(field, [[0, 1, 2, 3, 4]])  # 4 out of range
+    for classes, message in (
+            ([[0, 1], [1, 2, 3]], "slope 1 occurs twice"),
+            ([[0, 0, 1, 2, 3]], "slope 0 occurs twice"),
+            ([[0, 1]], "partition misses slopes {2, inf}"),
+            ([[0, 1, 2, 3], []], "empty class in line partition"),
+            ([[0, 1, 2, 3, 4]], "4 is not a slope for GF(3^1)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinePartition(field, classes)
+    # a valid input in any order comes back canonical
+    pi = LinePartition(field, [[3, 1], [2, 0]])
+    assert pi.classes == ((0, 2), (1, 3))
+    assert str(pi) == "0,2|1,inf"
+
+
+def test_partition_rejects_a_fractional_slope():
+    # q + 1 distinct values in range are not enough: they must be 0..q
+    with pytest.raises(ValueError, match=re.escape("misses slopes {inf}")):
+        LinePartition(make_field(3, 1), [[0, 0.5, 1, 2]])
 
 
 @pytest.mark.parametrize("field", fields(), ids=str)
@@ -182,11 +192,18 @@ def test_enumerate_partitions_counts_and_order():
 
 
 def test_enumerate_partitions_matches_reference_generator():
-    field = make_field(5, 1)
-    ours = [tuple(pi.classes) for pi in enumerate_partitions(field)]
-    ref = [tuple(tuple(sorted(b)) for b in blocks)
-           for blocks in naive.set_partitions(range(6))]
-    assert ours == ref
+    for field in fields([(3, 1), (2, 2), (5, 1), (2, 3)]):
+        ours = [pi.classes for pi in enumerate_partitions(field)]
+        ref = [tuple(tuple(sorted(b)) for b in blocks)
+               for blocks in naive.set_partitions(all_slopes(field))]
+        assert ours == ref
+
+
+def test_partition_text_matches_slope_literals():
+    field = make_field(2, 3)
+    for pi in enumerate_partitions(field):
+        assert str(pi) == "|".join(
+            ",".join(slope_literal(field, s) for s in cls) for cls in pi.classes)
 
 
 def test_enumerate_partitions_census_cap():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import naive
+from schurcensus import perms
 from schurcensus.analysis import cayley_color_graph
 from schurcensus.errors import SizingError
 from schurcensus.gf import field_from_literal
@@ -307,6 +308,26 @@ def test_each_level_is_closed_once(monkeypatch, make, base_length):
     group = automorphism_group(cayley_color_graph(basis))
     assert len(group.base) == base_length
     assert calls == list(reversed(range(base_length)))
+
+
+@pytest.mark.parametrize("make, orbit_calls", [
+    (one_class_partition, 72),  # 24 levels closed, 24 cells climbed, 24 generators
+    (wielandt_partition, 11),
+])
+def test_the_climb_keeps_its_orbit(monkeypatch, make, orbit_calls):
+    # the climb rebuilds the orbit of the tried siblings only when a
+    # generator is found, and grows it by one sibling's orbit otherwise
+    calls = []
+    orbit = perms._orbit
+
+    def counted(seeds, gens):
+        calls.append(seeds)
+        return orbit(seeds, gens)
+
+    monkeypatch.setattr(perms, "_orbit", counted)
+    basis = SchurBasis.from_partition(make(field_from_literal("5^1")))
+    automorphism_group(cayley_color_graph(basis))
+    assert len(calls) == orbit_calls
 
 
 def test_search_cap():

@@ -14,10 +14,13 @@ x - g with g the least primitive root mod p, so zeta = g.  Either way a
 given (p, e) always produces the same tables, which keeps every derived
 artifact reproducible.
 
-Every field carries dense lookup tables (q x q for addition and
-multiplication, length q for negation and inversion), built when it is
-constructed; all element arithmetic reads them.  ``make_field`` therefore
-refuses fields above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
+Each candidate polynomial is tested by one walk over the powers of x (see
+``_power_walk``): it is primitive exactly when the walk first returns to 1
+after q - 1 steps, and the walk is then the field's exp table.  From it
+every field carries dense lookup tables (q x q for addition and
+multiplication, length q for negation, inversion and discrete logs), built
+when it is constructed; all element arithmetic reads them.  ``make_field``
+therefore refuses fields above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
 
 Matrices over F_p (the regular representation below, and the linear maps
 in other modules) are numpy integer arrays with entries reduced mod p.
@@ -38,7 +41,7 @@ DEFAULT_ELEMENT_CAP = 512  # largest field whose q x q tables we build
 
 
 # ---------------------------------------------------------------------------
-# primes and polynomials over F_p (little-endian coefficient tuples)
+# primes and the powers of x
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -52,83 +55,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _digits(p: int, e: int) -> np.ndarray:
+    """(p**e, e) array whose row a holds the base-p digits of a, lowest first."""
+    return np.arange(p ** e)[:, None] // p ** np.arange(e) % p
 
 
-def _poly_rem(coeffs: list[int], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder mod a monic polynomial, returned with deg(modulus) digits."""
-    a = list(coeffs)
-    dm = len(modulus) - 1
-    if len(a) < dm:
-        a += [0] * (dm - len(a))
-    for top in range(len(a) - 1, dm - 1, -1):
-        c = a[top]
-        if c:
-            for i in range(dm + 1):
-                a[top - dm + i] = (a[top - dm + i] - c * modulus[i]) % p
-    return tuple(a[:dm])
+def _power_walk(modulus: tuple[int, ...], p: int) -> np.ndarray | None:
+    """The indices of x**0, x**1, ..., x**(q-2) in F_p[x]/modulus, or None
+    unless x has multiplicative order q - 1 = p**e - 1 there.
 
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...],
-                 modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, modulus, p)
-
-
-def _poly_powmod(base: tuple[int, ...], k: int,
-                 modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    e = len(modulus) - 1
-    acc = tuple([1] + [0] * (e - 1))
-    b = _poly_rem(list(base), modulus, p)
-    while k:
-        if k & 1:
-            acc = _poly_mulmod(acc, b, modulus, p)
-        b = _poly_mulmod(b, b, modulus, p)
-        k >>= 1
-    return acc
-
-
-def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:
-    """True iff x generates the multiplicative group of F_p[x]/modulus.
-
-    When x has order p**e - 1 the quotient ring has that many units, so
-    every nonzero element is a unit and the ring is a field; the single
-    order test therefore implies irreducibility as well.
+    "Times x" is one vectorized map on all q indices: shift the digits up
+    one place and fold the top digit back in through
+    x**e = -(m_0 + m_1 x + ... + m_(e-1) x**(e-1)).  Unless m_0 = 0, x is
+    a unit, the map permutes the ring, and the walk follows it from 1 until
+    it returns to 1.  When that takes q - 1 steps the quotient ring has
+    q - 1 units, so it is a field (the order test implies irreducibility)
+    and the walk runs through every unit.
     """
+    if modulus[0] == 0:  # x divides the modulus
+        return None
     e = len(modulus) - 1
-    q1 = p ** e - 1
-    one = tuple([1] + [0] * (e - 1))
-    x = tuple([0, 1] + [0] * (e - 2))
-    if _poly_powmod(x, q1, modulus, p) != one:
-        return False
-    return all(_poly_powmod(x, q1 // r, modulus, p) != one
-               for r in _prime_factors(q1))
-
-
-def _least_primitive_root(p: int) -> int:
-    for g in range(1, p):
-        acc, k = g, 1
-        while acc != 1:
-            acc = acc * g % p
-            k += 1
-        if k == p - 1:
-            return g
-    raise RuntimeError(f"no primitive root mod {p}")  # p prime: unreachable
+    digits = _digits(p, e)
+    shifted = np.roll(digits, 1, axis=1)
+    shifted[:, 0] = 0
+    times_x = ((shifted - np.outer(digits[:, -1], modulus[:-1])) % p
+               @ p ** np.arange(e)).tolist()
+    walk = [1]
+    while (a := times_x[walk[-1]]) != 1:
+        walk.append(a)
+    return np.array(walk) if len(walk) == p ** e - 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +91,30 @@ def _least_primitive_root(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """One copy of GF(p**e).  Use ``make_field``; the constructor trusts
-    its arguments."""
+    """One copy of GF(p**e), built from its defining polynomial and the
+    powers of zeta that ``_power_walk`` found for it.  Use ``make_field``;
+    the constructor trusts its arguments."""
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...], zeta: int):
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...],
+                 powers: np.ndarray):
         self.p = p
         self.e = e
-        self.q = p ** e
+        self.q = q = p ** e
         self.modulus = modulus  # monic, length e + 1, constant term first
-        self.zeta = zeta
-        self._build_tables()
+        self._hash = hash((p, e, modulus))
+        digits = _digits(p, e)
+        scale = p ** np.arange(e)
+        self._add_t = ((digits[:, None, :] + digits[None, :, :]) % p @ scale).astype(np.int32)
+        self._neg_t = ((-digits) % p @ scale).astype(np.int32)
+        # multiplication through the cyclic group generated by zeta
+        self._exp = exp = powers  # zeta**k for 0 <= k < q - 1
+        self._log = log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._mul_t = np.zeros((q, q), dtype=np.int32)
+        self._mul_t[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        self._inv_t = np.zeros(q, dtype=np.int32)
+        self._inv_t[1:] = exp[-log[1:] % (q - 1)]
+        self.zeta = int(exp[1 % (q - 1)])  # the class of x; GF(2) has only 1
 
     # -- identity ---------------------------------------------------------
 
@@ -161,7 +130,7 @@ class Field:
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
 
     def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     # -- encoding ----------------------------------------------------------
 
@@ -207,16 +176,13 @@ class Field:
         return int(self._inv_t[a])
 
     def power(self, a: int, k: int) -> int:
-        self._check(a)
-        if k < 0:
-            a, k = self.inv(a), -k
-        acc = 1
-        while k:
-            if k & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return acc
+        """a**k for any integer k, read from the exp and log tables:
+        zeta**(k * log a).  0**0 is 1, and 0**k raises for k < 0."""
+        if self._check(a) == 0:
+            if k < 0:
+                raise ZeroDivisionError(f"inverse of zero in {self}")
+            return 0 if k else 1
+        return int(self._exp[int(self._log[a]) * k % (self.q - 1)])
 
     # -- linear structure ----------------------------------------------------
 
@@ -236,58 +202,23 @@ class Field:
         return np.array(rows, dtype=np.int64)
 
     def is_subfield(self, subset: Iterable[int]) -> bool:
-        """True iff the given element indices form a subfield."""
+        """True iff the given element indices form a subfield, that is,
+        equal one of ``subfields()``."""
         s = frozenset(subset)
         for a in s:
             self._check(a)
-        if 0 not in s or 1 not in s:
-            return False
-        return all(self.add(a, b) in s and self.mul(a, b) in s
-                   for a in s for b in s)
+        return s in self.subfields()
 
     def subfields(self) -> list[frozenset[int]]:
         """All subfields (one per divisor of e), smallest first.
 
-        The subfield of order p**d is the fixed set of x -> x**(p**d).
+        The subfield of order p**d is {0} together with the powers of
+        zeta**((q - 1) / (p**d - 1)), read from the exp table.
         """
-        out = []
-        for d in range(1, self.e + 1):
-            if self.e % d:
-                continue
-            k = self.p ** d
-            out.append(frozenset(a for a in self.elements()
-                                 if self.power(a, k) == a))
-        return out
+        return [frozenset(self._exp[::(self.q - 1) // (self.p ** d - 1)].tolist()) | {0}
+                for d in range(1, self.e + 1) if self.e % d == 0]
 
     # -- dense tables ----------------------------------------------------------
-
-    def _build_tables(self) -> None:
-        p, q, e = self.p, self.q, self.e
-        digits = np.zeros((q, e), dtype=np.int64)
-        idx = np.arange(q)
-        for i in range(e):
-            digits[:, i] = idx % p
-            idx = idx // p
-        scale = p ** np.arange(e)
-        self._add_t = ((digits[:, None, :] + digits[None, :, :]) % p @ scale).astype(np.int32)
-        self._neg_t = ((-digits) % p @ scale).astype(np.int32)
-        # multiplication through the cyclic group generated by zeta
-        exp = np.empty(q - 1, dtype=np.int64)
-        acc = (1,) + (0,) * (e - 1)
-        zc = self.coords(self.zeta) if e > 1 else (self.zeta,)
-        for k in range(q - 1):
-            exp[k] = int(np.dot(acc, scale))
-            acc = _poly_mulmod(acc, zc, self.modulus, p)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int32)
-        units = exp  # all nonzero indices, in power order
-        ksum = (log[units][:, None] + log[units][None, :]) % (q - 1)
-        mul[np.ix_(units, units)] = exp[ksum]
-        self._mul_t = mul
-        inv = np.zeros(q, dtype=np.int32)
-        inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
-        self._inv_t = inv
 
     def add_table(self) -> np.ndarray:
         """q x q numpy table of sums."""
@@ -306,13 +237,17 @@ class Field:
 
 @functools.lru_cache(maxsize=None)
 def _build_field(p: int, e: int) -> Field:
+    """The first candidate modulus whose power walk covers every unit: x - g
+    for g = 1, 2, ... when e = 1, else monic tails in constant-term-first
+    lexicographic order."""
     if e == 1:
-        g = _least_primitive_root(p)
-        return Field(p, 1, ((-g) % p, 1), g)
-    for tail in product(range(p), repeat=e):
-        modulus = tail + (1,)
-        if _x_is_primitive(modulus, p):
-            return Field(p, e, modulus, p)
+        candidates = (((-g) % p, 1) for g in range(1, p))
+    else:
+        candidates = (tail + (1,) for tail in product(range(p), repeat=e))
+    for modulus in candidates:
+        powers = _power_walk(modulus, p)
+        if powers is not None:
+            return Field(p, e, modulus, powers)
     raise RuntimeError(f"no primitive polynomial of degree {e} over F_{p}")
 
 

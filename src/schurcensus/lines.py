@@ -178,9 +178,12 @@ def condition_holds(pi: LinePartition) -> bool:
     This is the geometric hypothesis under which the induced Schur ring is
     guaranteed non-schurian; the analysis module turns it into a verdict.
     """
-    m = singleton_slopes(pi)
-    inf = pi.field.q
-    return {0, 1, inf} <= m and not pi.field.is_subfield(m - {inf})
+    classes, inf = pi.classes, pi.field.q
+    # classes are sorted by least member: {0} and {1} can only come first
+    # and second, {infinity} only last
+    if classes[0] != (0,) or classes[1] != (1,) or classes[-1] != (inf,):
+        return False
+    return not pi.field.is_subfield(singleton_slopes(pi) - {inf})
 
 
 def induced_partition(pi: LinePartition) -> tuple[tuple[int, ...], ...]:

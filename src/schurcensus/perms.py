@@ -218,12 +218,16 @@ class PermGroup:
 class ColorGraph:
     """A complete graph on n vertices whose ordered pairs carry colors,
     as an (n, n) integer matrix.  The matrix must be symmetric and the
-    diagonal must use colors of its own, so loops never mix with edges."""
+    diagonal must use colors of its own, so loops never mix with edges.
+    Float and bool matrices are refused, not truncated into colors."""
 
     __slots__ = ("edge_colors", "n", "ncolors")
 
     def __init__(self, edge_colors):
-        ec = np.ascontiguousarray(np.asarray(edge_colors, dtype=np.int64))
+        ec = np.asarray(edge_colors)
+        if ec.dtype.kind not in "iu":
+            raise ValueError(f"edge colors must be integers, not {ec.dtype}")
+        ec = np.ascontiguousarray(ec, dtype=np.int64)
         if ec.ndim != 2 or ec.shape[0] != ec.shape[1] or ec.shape[0] == 0:
             raise ValueError("edge colors must form a nonempty square matrix")
         if ec.min() < 0:

@@ -78,6 +78,22 @@ def least_primitive_root(p):
     raise AssertionError(f"no primitive root mod {p}")
 
 
+def closure_is_subfield(subset, add, mul):
+    """True iff the set holds 0 and 1 and is closed under the given
+    addition and multiplication on element indices."""
+    s = set(subset)
+    return ({0, 1} <= s
+            and all(add(a, b) in s and mul(a, b) in s for a in s for b in s))
+
+
+def condition_by_definition(classes, q, is_subfield):
+    """The prediction condition read straight off its statement: the
+    singleton slopes M contain 0, 1 and infinity (slope q), and M minus
+    infinity is not a subfield."""
+    m = {cls[0] for cls in classes if len(cls) == 1}
+    return {0, 1, q} <= m and not is_subfield(m - {q})
+
+
 # --- set partitions ----------------------------------------------------------
 
 def bell(n):

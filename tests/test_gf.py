@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -53,6 +55,21 @@ def test_frozen_small_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(3, 2).modulus == (2, 1, 1) and make_field(3, 2).zeta == 3
     assert make_field(2, 3).modulus == (1, 0, 1, 1)
+
+
+def test_every_field_modulus_and_zeta_are_pinned():
+    # all 117 fields up to the cap, ordered by p and then e: every element
+    # index in every report depends on these moduli
+    rows = []
+    for p in range(2, 513):
+        if all(p % d for d in range(2, p)):
+            for e in range(1, 10):
+                if p ** e <= 512:
+                    f = make_field(p, e)
+                    rows.append([p, e, list(f.modulus), f.zeta])
+    assert len(rows) == 117
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "c343d961c2e0a1e41ff6c787f35699e3026df08c8ee1ee67c19b68f9e8efe0c5")
 
 
 def test_make_field_is_deterministic():
@@ -199,6 +216,18 @@ def test_zeta_has_full_order():
         assert has_full_order(f, f.zeta)
 
 
+def test_power_matches_repeated_multiplication():
+    for p, e in [(2, 1), (3, 2), (2, 3), (5, 1)]:
+        f = make_field(p, e)
+        for a in f.elements():
+            acc = 1
+            for k in range(2 * f.q + 1):
+                assert f.power(a, k) == acc
+                acc = f.mul(acc, a)
+    f = make_field(3, 2)
+    assert f.power(f.zeta, 10 ** 40) == f.power(f.zeta, 10 ** 40 % 8)
+
+
 def test_power_negative_exponents():
     f = make_field(3, 2)
     for a in f.units():
@@ -278,6 +307,19 @@ def test_is_subfield_rejects_non_subfields():
     assert not f8.is_subfield({0, 1, 2, 3})  # F_4 does not embed in F_8
 
 
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_is_subfield_matches_closure_on_every_subset(p, e):
+    f = make_field(p, e)
+    found = []
+    for mask in range(1 << f.q):
+        s = [a for a in f.elements() if mask >> a & 1]
+        closed = naive.closure_is_subfield(s, f.add, f.mul)
+        assert f.is_subfield(s) == closed, s
+        if closed:
+            found.append(frozenset(s))
+    assert sorted(found, key=len) == f.subfields()
+
+
 def test_gf9_frobenius_fixed_set():
     f = make_field(3, 2)
     fixed = frozenset(a for a in f.elements() if f.power(a, 3) == a)
@@ -297,5 +339,9 @@ def test_operand_range_checks():
         f.mul(-1, 2)
     with pytest.raises(ValueError):
         f.coords(81)  # an index from GF(81) is not a GF(9) element
+    with pytest.raises(ValueError):
+        f.is_subfield({0, 1, 9})
+    with pytest.raises(ValueError):
+        f.is_subfield({-1, 0, 1})
     with pytest.raises(ZeroDivisionError):
         f.inv(0)

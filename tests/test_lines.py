@@ -177,6 +177,19 @@ def test_condition_census_counts_match_bell_arithmetic():
         assert sum(condition_holds(pi) for pi in enumerate_partitions(field)) == 0
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
+def test_condition_matches_its_definition(p, e):
+    # condition_holds rejects rows by class position before it forms M
+    field = make_field(p, e)
+
+    def is_subfield(s):
+        return naive.closure_is_subfield(s, field.add, field.mul)
+
+    for pi in enumerate_partitions(field):
+        assert condition_holds(pi) == naive.condition_by_definition(
+            pi.classes, field.q, is_subfield), str(pi)
+
+
 def test_enumerate_partitions_counts_and_order():
     for p, e, bell in ((2, 1, 5), (3, 1, 15), (2, 2, 52), (5, 1, 203)):
         field = make_field(p, e)

@@ -187,6 +187,15 @@ def test_color_graph_validation():
         ColorGraph(np.eye(3, dtype=int) * -1)
 
 
+def test_color_graph_refuses_non_integer_colors():
+    # truncation would merge 1.2 and 1.7 and turn Aut (order 2) into S_3
+    with pytest.raises(ValueError, match="integers"):
+        ColorGraph([[0, 1.2, 1.7], [1.2, 0, 1.2], [1.7, 1.2, 0]])
+    with pytest.raises(ValueError, match="integers"):
+        ColorGraph(~np.eye(3, dtype=bool))
+    assert ColorGraph(np.array([[0, 1], [1, 0]], dtype=np.uint8)).ncolors == 2
+
+
 def test_refinement_on_path():
     graph = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     colors = color_refinement(graph)

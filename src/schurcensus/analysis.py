@@ -10,9 +10,10 @@ always refine the classes, which gives a built-in consistency alarm.
 
 The predictive side never touches automorphisms: a partition whose
 singleton slopes contain 0, 1 and infinity while their finite part is not
-a subfield can never be schurian.  ``census`` streams the partitions the
-prediction applies to, and ``cross_validate`` runs the oracle against the
-prediction, raising ``InconsistencyError`` the moment they disagree.
+a subfield can never be schurian.  ``census`` tabulates the prediction
+over every partition of the slopes, and ``cross_validate`` runs the oracle
+against the prediction, raising ``InconsistencyError`` the moment they
+disagree.
 
 A semilinear map of V fixes 0 and permutes the lines, so it carries the
 Cayley color graph of a partition onto that of its image: the oracle
@@ -32,8 +33,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 import logging
 import math
+import operator
 import os
 from typing import Iterator, NamedTuple, Optional
 
@@ -42,6 +45,7 @@ import numpy as np
 from .errors import InconsistencyError, PartitionFormatError, SizingError
 from .gf import Field, field_from_literal
 from .lines import (
+    INFINITY_LITERAL,
     LinePartition,
     OrbitKeys,
     all_slopes,
@@ -51,6 +55,7 @@ from .lines import (
     mobius_normalize,
     point_index,
     singleton_slopes,
+    slope_placements,
 )
 from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
 from .schur import SchurBasis, group_tables, verify_schur_axioms
@@ -380,9 +385,37 @@ def census(field: Field) -> Census:
     """Tabulate the prediction over every partition of the slopes, in
     enumeration order.  No oracle runs; this is the cheap half of the
     cross-validation and works for any field under the fixed census cap
-    of 12 slopes (q <= 11)."""
-    rows = tuple(CensusRow(str(pi), condition_holds(pi))
-                 for pi in enumerate_partitions(field))
+    of 12 slopes (q <= 11).
+
+    The rows come one placement of the finite slopes 0..q-1 at a time, as
+    ``slope_placements`` lists them.  Only the last partition of a list,
+    where infinity is alone, is built, through the checked
+    ``LinePartition`` constructor, and judged by ``condition_holds``.
+    Every sibling is that checked partition with infinity moved from its
+    own last singleton class to the end of class j.  Infinity is the
+    greatest slope, so the move keeps every class sorted and the classes
+    sorted by least member: the sibling is canonical, and its text is the
+    checked text without the trailing ``|inf``, with ``,inf`` inserted at
+    the end of class j.  Its verdict is False, since the condition needs
+    the class {infinity} and no sibling has it."""
+    make = functools.partial(LinePartition, field)
+    alone = len(INFINITY_LITERAL) + 1  # the trailing "|inf"
+    joined = "," + INFINITY_LITERAL
+
+    def placement_rows(siblings: list) -> list[CensusRow]:
+        pi = make(siblings[-1])
+        text = str(pi)
+        head = text[:-alone]
+        # where each class of head ends: its cumulative length plus the
+        # "|" separators before it
+        ends = map(operator.add, itertools.accumulate(map(len, head.split("|"))),
+                   itertools.count())
+        rows = [CensusRow(head[:end] + joined + head[end:], False) for end in ends]
+        rows.append(CensusRow(text, condition_holds(pi)))
+        return rows
+
+    rows = tuple(itertools.chain.from_iterable(
+        map(placement_rows, slope_placements(field))))
     return Census(
         field=field.literal,
         total=len(rows),

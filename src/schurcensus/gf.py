@@ -270,13 +270,14 @@ def make_field(p: int, e: int) -> Field:
     return _build_field(p, e)
 
 
-_FIELD_LITERAL = re.compile(r"^(\d+)\^(\d+)$")
+_FIELD_LITERAL = re.compile(r"^([0-9]+)\^([0-9]+)$")
 
 
 def parse_field_literal(text: str) -> tuple[int, int]:
-    """Parse 'p^e' into (p, e); validation happens in make_field.  A p or
-    e with more digits than the element cap is refused here, before int()
-    meets its own 4300-digit limit."""
+    """Parse 'p^e' into (p, e); validation happens in make_field.  Only
+    ASCII digits count, as in slope literals, so a fullwidth or Arabic-Indic
+    '5^1' is refused.  A p or e with more digits than the element cap is
+    refused here, before int() meets its own 4300-digit limit."""
     m = _FIELD_LITERAL.match(text.strip())
     if not m:
         raise ValueError(f"bad field literal {text!r}; expected the form 'p^e'")

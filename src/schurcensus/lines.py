@@ -14,9 +14,15 @@ ring basis.  The distinguished slope set M of a partition collects the
 slopes whose class is a singleton.
 
 A census visits all Bell(q + 1) partitions, so the per-partition path is
-kept to a few C-level calls: ``enumerate_partitions`` walks the canonical
-class tuples depth first without recursion, ``LinePartition`` checks its
-input in one pass and prints from a per-field tuple of slope literals.
+kept to a few C-level calls.  ``slope_placements`` walks the canonical
+class tuples depth first without recursion and hands them out one
+placement of the finite slopes 0..q-1 at a time: the list of ways to add
+infinity to it, into each class in turn and then as a class of its own.
+``enumerate_partitions`` flattens those lists into checked partitions;
+the census builds only the last partition of each list, where infinity is
+alone, and derives the rows of its siblings from that one's text.
+``LinePartition`` checks its input in one pass and prints from a
+per-field tuple of slope literals.
 
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
 slopes and on their partitions.  ``slope_symmetries`` gives generators of
@@ -34,7 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .errors import PartitionFormatError, SizingError
 from .gf import Field, field_from_literal
 
-DEFAULT_CENSUS_CAP = 12  # largest slope count enumerate_partitions will stream
+DEFAULT_CENSUS_CAP = 12  # largest slope count slope_placements will stream
 
 INFINITY_LITERAL = "inf"
 
@@ -319,31 +325,41 @@ class OrbitKeys:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_partitions(
-        field: Field, predicate: Optional[Callable[[LinePartition], bool]] = None,
-) -> Iterator[LinePartition]:
-    """Stream every partition of the slope set in restricted-growth-string
-    order (so the one-class partition comes first and the all-singleton
-    partition last), optionally filtered by ``predicate``.
+def slope_placements(field: Field) -> Iterator[list[Classes]]:
+    """Stream the canonical class tuples of every partition of the slope
+    set in restricted-growth-string order, as one list per placement of
+    the finite slopes 0..q-1.  Each list holds the ways of adding infinity
+    to that placement: at the end of class 0, ..., of class k - 1, then as
+    a class of its own, which is always the last entry.
 
-    The stream is an iterative depth-first walk over canonical class
-    tuples: slope i joins each class in turn, then opens a class of its
-    own.  Fields with more than ``DEFAULT_CENSUS_CAP`` slopes raise
-    SizingError here, before anything is iterated."""
+    The stream is an iterative depth-first walk: slope i joins each class
+    in turn, then opens a class of its own.  Fields with more than
+    ``DEFAULT_CENSUS_CAP`` slopes raise SizingError here, before anything
+    is iterated."""
     n = field.q + 1
     if n > DEFAULT_CENSUS_CAP:
         raise SizingError(
             f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
             f"(Bell numbers grow too fast beyond that)")
+    return _class_tuples(n)
+
+
+def enumerate_partitions(
+        field: Field, predicate: Optional[Callable[[LinePartition], bool]] = None,
+) -> Iterator[LinePartition]:
+    """Stream every partition of the slope set in restricted-growth-string
+    order (so the one-class partition comes first and the all-singleton
+    partition last), optionally filtered by ``predicate``: the
+    ``slope_placements`` lists, flattened and checked.  Fields above the
+    census cap raise SizingError here, before anything is iterated."""
     partitions = map(functools.partial(LinePartition, field),
-                     itertools.chain.from_iterable(_class_tuples(n)))
+                     itertools.chain.from_iterable(slope_placements(field)))
     return partitions if predicate is None else filter(predicate, partitions)
 
 
 def _class_tuples(n: int) -> Iterator[list[Classes]]:
-    """The canonical class tuples of the partitions of 0..n-1 (n >= 2) in
-    restricted-growth-string order, as one list per placement of the
-    slopes below n - 1: the ways of adding slope n - 1 to it."""
+    """The walk behind ``slope_placements``, over the slopes 0..n-1
+    (n >= 2)."""
     last = n - 1
     stack: list[tuple[int, Classes]] = [(1, ((0,),))]
     while stack:

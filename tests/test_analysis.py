@@ -15,6 +15,7 @@ from schurcensus.lines import (
     LinePartition,
     OrbitKeys,
     all_slopes,
+    condition_holds,
     enumerate_partitions,
     one_class_partition,
     singleton_partition,
@@ -345,6 +346,38 @@ def test_census_counts():
     assert [r.partition for r in census(field).rows if r.predicts] == [
         str(pi) for pi in enumerate_partitions(field)
         if nonschurian_criterion(pi).holds]
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
+def test_census_rows_match_the_per_partition_path(p, e):
+    # the census splices infinity into the text of one checked partition
+    # per placement of the finite slopes; the reference builds every row
+    field = make_field(p, e)
+    expected = [(str(pi), condition_holds(pi)) for pi in enumerate_partitions(field)]
+    table = census(field)
+    assert list(table.rows) == expected
+    assert table.total == len(expected)
+    assert table.predicted == sum(predicts for _, predicts in expected)
+
+
+def test_census_judges_one_partition_per_placement(monkeypatch):
+    calls = []
+    real = analysis.condition_holds
+
+    def counting(pi):
+        calls.append(pi)
+        return real(pi)
+
+    monkeypatch.setattr(analysis, "condition_holds", counting)
+    for p, e, bell_q in ((5, 1, 52), (2, 3, 4140)):
+        calls.clear()
+        census(make_field(p, e))
+        assert len(calls) == bell_q
+        assert all(pi.classes[-1] == (pi.field.q,) for pi in calls)
+    calls.clear()
+    with pytest.raises(SizingError, match="census cap of 12"):
+        census(make_field(13, 1))
+    assert not calls
 
 
 def test_cross_validate_q5_all():

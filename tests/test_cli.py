@@ -247,6 +247,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert not captured.out, argv
 
 
+def test_non_ascii_field_digits_exit_2(tmp_path, capsys):
+    # a fullwidth five, and an Arabic-Indic five and one, are not 5^1
+    path = tmp_path / "arabic-indic.json"
+    path.write_text(json.dumps({"field": "\u0665^\u0661",
+                                "classes": [["0", "1", "2", "3", "4", "inf"]]}))
+    for argv in (["census", "--field", "\uff15^1"],
+                 ["check-condition", "--partition", str(path)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "bad field literal" in captured.err, argv
+        assert not captured.out, argv
+
+
 @pytest.mark.parametrize("command", ["check-condition", "schurian-test",
                                      "invariant-slopes"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):

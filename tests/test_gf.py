@@ -112,7 +112,8 @@ def test_field_literals():
     assert parse_field_literal(" 3^2 ") == (3, 2)
     assert field_from_literal("2^3").q == 8
     assert make_field(7, 1).literal == "7^1"
-    for bad in ("5", "5^", "^2", "a^2", "5^1^1", "5 ^ 1"):
+    # Unicode digits (fullwidth five, Arabic-Indic five and one) are refused
+    for bad in ("5", "5^", "^2", "a^2", "5^1^1", "5 ^ 1", "\uff15^1", "\u0665^\u0661"):
         with pytest.raises(ValueError):
             parse_field_literal(bad)
 

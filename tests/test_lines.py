@@ -28,6 +28,7 @@ from schurcensus.lines import (
     point_index,
     punctured_line,
     singleton_partition,
+    slope_placements,
     singleton_slopes,
     slope_literal,
     slope_symmetries,
@@ -225,6 +226,24 @@ def test_enumerate_partitions_census_cap():
     # 12 slopes are the most the cap admits (don't exhaust: Bell(12) rows)
     stream = enumerate_partitions(make_field(11, 1))
     assert next(iter(stream)) == one_class_partition(make_field(11, 1))
+
+
+def test_slope_placements_group_the_ways_of_adding_infinity():
+    # the census relies on this grouping: one list per placement of the
+    # finite slopes, infinity at the end of each class, then alone
+    for field in fields([(2, 1), (3, 1), (2, 2), (5, 1)]):
+        q = field.q
+        lists = list(slope_placements(field))
+        assert len(lists) == naive.bell(q)
+        for siblings in lists:
+            placement = siblings[-1][:-1]
+            assert siblings[-1] == placement + ((q,),)
+            assert siblings[:-1] == [placement[:j] + (cls + (q,),) + placement[j + 1:]
+                                     for j, cls in enumerate(placement)]
+        assert [c for siblings in lists for c in siblings] == [
+            pi.classes for pi in enumerate_partitions(field)]
+    with pytest.raises(SizingError, match="census cap of 12"):
+        slope_placements(make_field(13, 1))
 
 
 def test_enumerate_partitions_predicate_filter():

@@ -107,8 +107,10 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     InconsistencyError if the group is not transitive, misses a
     translation or a scalar map (automorphisms of every such graph), or
     its stabilizer orbits fail to refine the classes (impossible unless
-    the machinery itself is broken, for instance a search that lost
-    generators).
+    the machinery itself is broken).  The chain is read straight off the
+    search's generators with no closure, so a search that lost a
+    generator leaves the group too small, and these guards are the only
+    backstop against it.
     """
     check = verify_schur_axioms(basis)
     if not check.ok:

@@ -2,11 +2,13 @@
 
 Permutations on n points live as numpy index arrays: p[x] is the image of
 x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
-Schreier-Sims chain along an explicit base (0, 1, ..., n-1 unless given),
-which gives exact orders as big integers and fast membership sifting.
-When the base starts at 0, the levels below level 0 are already a chain
-for the stabilizer of 0, the only stabilizer the schurian oracle needs,
-so ``point_stabilizer()`` shares them instead of building anew.
+stabilizer chain along an explicit base (0, 1, ..., n-1 unless given),
+built from a strong generating set by one orbit per level with no
+Schreier-Sims closure, which gives exact orders as big integers and fast
+membership sifting.  When the base starts at 0, the levels below level 0
+are already a chain for the stabilizer of 0, the only stabilizer the
+schurian oracle needs, so ``point_stabilizer()`` shares them instead of
+building anew.
 
 ``automorphism_group`` finds the automorphisms of a ``ColorGraph`` by
 individualization and refinement.  The refinement is a vectorized
@@ -20,12 +22,14 @@ was found at that depth or deeper, so it fixes the base above it).  That
 orbit is kept while the climb crosses a cell: a sibling with no witness
 adds its own orbit, and only a new generator rebuilds it.  The
 witness step looks below each remaining sibling for one leaf matching the
-leftmost one.  Each generator enters the chain along that base at its own
-depth, and the levels are closed once each, deepest first.  Every
-generator passes an exhaustive color-preservation check, so the group is
-never too big; a wrongly pruned branch could still leave it too small,
-which is why ``schurian_test`` in ``analysis`` refuses a group that is
-not transitive.
+leftmost one.  The generators found at a depth d or deeper generate the
+subgroup fixing base[:d] pointwise (McKay & Piperno, Practical Graph
+Isomorphism II, 2014), so they are a strong generating set along the
+base and the chain is read straight off them.  Every generator passes an
+exhaustive color-preservation check, so the group is never too big; a
+wrongly pruned branch could still leave it too small, which is why
+``schurian_test`` in ``analysis`` refuses a group that is not
+transitive or misses a translation or a scalar map.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def as_permutation(n: int, seq) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Schreier-Sims chains
+# stabilizer chains
 # ---------------------------------------------------------------------------
 
 def _orbit(seeds, gens) -> dict[int, tuple[int, np.ndarray] | None]:
@@ -97,16 +101,23 @@ class PermGroup:
     """A permutation group on 0..degree-1 with a stabilizer chain along
     ``base``, which is 0, 1, ..., degree-1 unless given.
 
-    Chain level i holds the orbit of base[i] under the subgroup fixing
-    base[:i] pointwise.  Its transversal is stored inverted: each orbit
-    point maps to a member taking that point back to base[i], so sifting
-    only composes.  Each generator starts at the first level whose base
-    point it moves, and the levels are closed once each, deepest first; a
-    Schreier generator that fails to sift restarts the sweep at the level
-    it stopped at.  Only the identity may fix every base point: any other
+    The chain is built from transversals only, with no Schreier-Sims
+    closure.  Each generator goes to the first level whose base point it
+    moves, and level i holds the orbit of base[i] under the generators at
+    levels i and deeper, as one Schreier tree.  Its transversal is stored
+    inverted: each orbit point maps to a member taking that point back to
+    base[i], so membership only composes.
+
+    The chain is exact when ``generators`` is a strong generating set
+    along ``base``: those moving none of base[:i] generate the subgroup
+    fixing base[:i] pointwise.  The automorphism search hands over such a
+    set.  For any other set every level still holds members of the group,
+    so ``order()`` is a lower bound and the group is never too big; the
+    guards in ``analysis.schurian_test`` are what catch a search that lost
+    a generator.  Only the identity may fix every base point: any other
     such permutation is a non-member, and a generator that leaves one
     raises ValueError.  ``generators`` holds the input generators; for a
-    point stabilizer, its chain's strong generators.
+    point stabilizer, those at levels 1 and deeper.
     """
 
     def __init__(self, degree: int, generators=(), *, base=None):
@@ -114,72 +125,42 @@ class PermGroup:
         self.base = tuple(range(degree)) if base is None else tuple(map(int, base))
         if len(set(self.base) & set(range(degree))) != len(self.base):
             raise ValueError(f"base {base!r} repeats a point or leaves 0..{degree - 1}")
-        self._gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
-        self._trans: list[dict[int, np.ndarray] | None] = [None] * len(self.base)
         self.generators = tuple(as_permutation(degree, g) for g in generators)
-        # no transversal exists yet, so each sift stops where g first moves the base
-        for res in (self._sift(g, 0) for g in self.generators):
-            if res is not None:
-                self._add_strong(*res)
-        i = len(self.base) - 1
-        while i >= 0:
-            i = self._close_level(i)
-
-    # -- chain maintenance
+        self._gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
+        points = list(self.base)
+        for g in self.generators:
+            moved = np.flatnonzero(g[points] != points)
+            if moved.size:
+                self._gens_at[moved[0]].append(g)
+            elif not is_identity(g):
+                raise ValueError(
+                    f"{self.base} is not a base: a non-identity permutation fixes all of it")
+        self._trans: list[dict[int, np.ndarray]] = []
+        for i, point in enumerate(self.base):
+            trans = {point: identity_perm(degree)}
+            for beta, edge in _orbit([point], self._strong_gens_from(i)).items():
+                if edge is not None:
+                    pred, g = edge
+                    trans[beta] = compose(trans[pred], inverse_perm(g))
+            self._trans.append(trans)
 
     def _strong_gens_from(self, level: int) -> list[np.ndarray]:
         return [g for gens in self._gens_at[level:] for g in gens]
 
-    def _sift(self, g: np.ndarray, start: int):
-        """Reduce g through chain levels >= start.  None means g factored
-        completely (membership); otherwise (level, residue), where level
-        len(base) means a residue fixing the base but not the identity."""
-        for i in range(start, len(self.base)):
-            point = self.base[i]
-            beta = int(g[point])
-            if beta == point:
-                continue
-            trans = self._trans[i]
-            if trans is None or beta not in trans:
-                return i, g
-            g = compose(trans[beta], g)
-        return None if is_identity(g) else (len(self.base), g)
-
-    def _add_strong(self, level: int, h: np.ndarray) -> int:
-        if level == len(self.base):
-            raise ValueError(
-                f"{self.base} is not a base: a non-identity permutation fixes all of it")
-        self._gens_at[level].append(h)
-        return level
-
-    def _close_level(self, i: int) -> int:
-        """Rebuild orbit and transversal at level i, then push every
-        Schreier generator through the deeper levels.  Returns the level
-        to close next: the one that received a new generator, or i - 1."""
-        gens = self._strong_gens_from(i)
-        reps = {self.base[i]: identity_perm(self.degree)}
-        for beta, edge in _orbit([self.base[i]], gens).items():
-            if edge is not None:
-                reps[beta] = compose(edge[1], reps[edge[0]])
-        trans = {beta: inverse_perm(u) for beta, u in reps.items()}
-        self._trans[i] = trans
-        for beta, ub in reps.items():
-            for g in gens:
-                s = compose(trans[int(g[beta])], compose(g, ub))
-                if is_identity(s):
-                    continue
-                res = self._sift(s, i + 1)
-                if res is not None:
-                    return self._add_strong(*res)
-        return i - 1
-
     # -- queries
 
     def order(self) -> int:
-        return math.prod(len(trans) for trans in self._trans if trans is not None)
+        return math.prod(map(len, self._trans))
 
     def __contains__(self, perm) -> bool:
-        return self._sift(as_permutation(self.degree, perm), 0) is None
+        g = as_permutation(self.degree, perm)
+        for point, trans in zip(self.base, self._trans):
+            beta = int(g[point])
+            if beta != point:
+                if beta not in trans:
+                    return False
+                g = compose(trans[beta], g)
+        return is_identity(g)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         gens = self._strong_gens_from(0)
@@ -196,14 +177,13 @@ class PermGroup:
         """The subgroup fixing 0, which must be the first base point.
 
         The chain levels >= 1 already form a chain for it, so they are
-        shared and level 0 is left trivial; no Schreier-Sims work is
-        done."""
+        shared and level 0 is left trivial."""
         if self.base[:1] != (0,):
             raise ValueError(f"point 0 is not the first point of the base {self.base}")
         stab = PermGroup.__new__(PermGroup)
         stab.degree, stab.base = self.degree, self.base
         stab._gens_at = [[]] + self._gens_at[1:]
-        stab._trans = [None] + self._trans[1:]
+        stab._trans = [{0: identity_perm(self.degree)}] + self._trans[1:]
         stab.generators = tuple(stab._strong_gens_from(1))
         return stab
 

@@ -2,7 +2,8 @@
 
 Nothing here imports the package under test: polynomial arithmetic works
 on little-endian coefficient tuples, set partitions come from a plain
-recursive generator, and group-algebra convolution is a dict double loop.
+recursive generator, group-algebra convolution is a dict double loop, and
+permutation groups are listed element by element by breadth-first closure.
 """
 
 from itertools import product
@@ -184,3 +185,20 @@ def perm_closure(gens, limit=200000):
                     nxt.append(b)
         frontier = nxt
     return seen
+
+
+def strong_generators(elements, base):
+    """A strong generating set along ``base`` for the group whose elements
+    (permutation tuples) are all given: for each level i and each image
+    gamma != base[i] of base[i] under the elements fixing base[:i], the
+    least such element sending base[i] to gamma."""
+    out = []
+    fixing = sorted(elements)
+    for point in base:
+        picks = {}
+        for e in fixing:
+            if e[point] != point:
+                picks.setdefault(e[point], e)
+        out += [picks[gamma] for gamma in sorted(picks)]
+        fixing = [e for e in fixing if e[point] == point]
+    return out

@@ -141,6 +141,27 @@ def test_oracle_rejects_a_group_without_the_scalars(monkeypatch):
         schurian_test(basis)
 
 
+@pytest.mark.parametrize("make, p, e, drops", [
+    (one_class_partition, 3, 1, 8),
+    (one_class_partition, 5, 1, 24),
+    (wielandt_partition, 5, 1, 3),
+    (singleton_partition, 5, 1, 3),
+    (singleton_partition, 2, 2, 3),
+])
+def test_oracle_rejects_a_lost_generator(monkeypatch, make, p, e, drops):
+    # the chain is exact only for a strong generating set, so the guards
+    # are what stand between a search that lost a generator and a verdict
+    basis = SchurBasis.from_partition(make(make_field(p, e)))
+    aut = automorphism_group(cayley_color_graph(basis))
+    assert len(aut.generators) == drops
+    for k in range(drops):
+        kept = aut.generators[:k] + aut.generators[k + 1:]
+        monkeypatch.setattr(analysis, "automorphism_group",
+                            lambda graph, cap: PermGroup(graph.n, kept, base=aut.base))
+        with pytest.raises(InconsistencyError):
+            schurian_test(basis)
+
+
 @pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (5, 1)])
 def test_scalars_fix_every_line(p, e):
     field = make_field(p, e)

@@ -13,7 +13,13 @@ from schurcensus import perms
 from schurcensus.analysis import cayley_color_graph
 from schurcensus.errors import SizingError
 from schurcensus.gf import field_from_literal
-from schurcensus.lines import one_class_partition, singleton_partition, wielandt_partition
+from schurcensus.lines import (
+    OrbitKeys,
+    enumerate_partitions,
+    one_class_partition,
+    singleton_partition,
+    wielandt_partition,
+)
 from schurcensus.perms import (
     ColorGraph,
     PermGroup,
@@ -64,16 +70,25 @@ def test_perm_primitives():
         [1.9, 0, 2] in PermGroup(3, [[1, 0, 2]])
 
 
+def strong_group(n, gens, base=None):
+    """``PermGroup`` on a strong generating set along ``base`` for the
+    group ``gens`` generate, and the closure that set was read off."""
+    closure = naive.perm_closure(gens)
+    strong = naive.strong_generators(closure, range(n) if base is None else base)
+    return PermGroup(n, strong, base=base), closure
+
+
 def sym_group(n):
     swap = list(range(n))
     swap[0], swap[1] = 1, 0
     cycle = list(range(1, n)) + [0]
-    return PermGroup(n, [swap, cycle])
+    return strong_group(n, [swap, cycle])
 
 
 def test_symmetric_group_orders():
     for n in range(3, 9):
-        assert sym_group(n).order() == math.factorial(n)
+        group, closure = sym_group(n)
+        assert group.order() == len(closure) == math.factorial(n)
 
 
 def test_cyclic_and_trivial_and_klein():
@@ -93,16 +108,18 @@ def closure_orbits(elements, n):
 def test_order_and_membership_against_closure():
     everything = list(itertools.permutations(range(6)))
     rng = np.random.default_rng(7)
-    # a repeated generator and its square generate no more than it does
     g = (1, 2, 0, 3, 4, 5)
-    inputs = [[g, g, (2, 0, 1, 3, 4, 5)]]
+    inputs = [[g, (2, 0, 1, 3, 4, 5)]]
     inputs += [[tuple(rng.permutation(6)) for _ in range(2)] for _ in range(8)]
     assert len(naive.perm_closure(inputs[0])) == 3
     for gens in inputs:
         closure = naive.perm_closure(gens)
         for base in (None, (3, 0, 5, 1, 4, 2)):
-            group = PermGroup(6, gens, base=base)
-            assert len(group.generators) == len(gens)
+            strong = naive.strong_generators(closure, base or range(6))
+            # a repeated generator and the identity add nothing
+            strong += strong[:1] + [tuple(range(6))]
+            group = PermGroup(6, strong, base=base)
+            assert len(group.generators) == len(strong)
             assert group.order() == len(closure)
             for p in everything:
                 assert (p in group) == (p in closure)
@@ -129,13 +146,13 @@ def test_only_the_identity_fixes_the_base():
 def test_orbits():
     group = PermGroup(5, [[1, 2, 0, 3, 4]])
     assert group.orbits() == ((0, 1, 2), (3,), (4,))
-    assert sym_group(4).orbits() == ((0, 1, 2, 3),)
+    assert sym_group(4)[0].orbits() == ((0, 1, 2, 3),)
 
 
 def test_point_stabilizer_symmetric():
-    group = sym_group(5)
+    group, closure = sym_group(5)
     stab = group.point_stabilizer()
-    assert stab.order() == 24
+    assert stab.order() == 24 == sum(p[0] == 0 for p in closure)
     assert stab.orbits() == ((0,), (1, 2, 3, 4))
     for g in stab.generators:
         assert int(g[0]) == 0
@@ -149,7 +166,7 @@ def test_point_stabilizer_matches_closure():
         gens = [tuple(rng.permutation(6)) for _ in range(2)]
         fixing = {p for p in naive.perm_closure(gens) if p[0] == 0}
         for base in (None, (0, 4, 2, 5, 1, 3)):
-            stab = PermGroup(6, gens, base=base).point_stabilizer()
+            stab = strong_group(6, gens, base)[0].point_stabilizer()
             assert stab.order() == len(fixing)
             assert stab.orbits() == closure_orbits(fixing, 6)
             for p in everything:
@@ -161,8 +178,9 @@ def test_orbit_stabilizer_arithmetic():
     rng = np.random.default_rng(23)
     for _ in range(5):
         gens = [tuple(rng.permutation(7)) for _ in range(2)]
-        group = PermGroup(7, gens)
+        group, closure = strong_group(7, gens)
         orbit = group.orbits()[0]  # the orbit of 0
+        assert group.order() == len(closure)
         assert group.order() == len(orbit) * group.point_stabilizer().order()
 
 
@@ -298,29 +316,41 @@ def test_search_record(caplog, make, literal, record):
     assert group.base[0] == 0
 
 
-@pytest.mark.parametrize("make,base_length", [
-    (one_class_partition, 24),
-    (wielandt_partition, 2),
+def orbit_representatives(literal):
+    """The first partition of each PGammaL(2, q)-orbit, in enumeration
+    order, as cross-validation picks them."""
+    field = field_from_literal(literal)
+    key = OrbitKeys(field)
+    first = {}
+    for pi in enumerate_partitions(field):
+        first.setdefault(key(pi.classes), pi)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("literal", [
+    "3^1", "2^2", "5^1", "7^1",
+    pytest.param("2^3", marks=[pytest.mark.stretch, STRETCH]),
+    pytest.param("3^2", marks=[pytest.mark.stretch, STRETCH]),
 ])
-def test_each_level_is_closed_once(monkeypatch, make, base_length):
-    # the search hands over a strong generating set, so no Schreier
-    # generator reopens a level of the chain
-    calls = []
-    close_level = PermGroup._close_level
-
-    def counted(self, i):
-        calls.append(i)
-        return close_level(self, i)
-
-    monkeypatch.setattr(PermGroup, "_close_level", counted)
-    basis = SchurBasis.from_partition(make(field_from_literal("5^1")))
-    group = automorphism_group(cayley_color_graph(basis))
-    assert len(group.base) == base_length
-    assert calls == list(reversed(range(base_length)))
+def test_search_hands_over_a_strong_generating_set(literal):
+    # Schreier's lemma: the generators fixing base[:i] form a strong set
+    # exactly when, at every level i, each Schreier generator lies in the
+    # group of the generators fixing base[:i+1]; the chain assumes it
+    for pi in orbit_representatives(literal):
+        group = automorphism_group(cayley_color_graph(SchurBasis.from_partition(pi)))
+        n, base = group.degree, group.base
+        for i, point in enumerate(base):
+            gens = [g for g in group.generators if (g[list(base[:i])] == base[:i]).all()]
+            deeper = PermGroup(n, [g for g in gens if g[point] == point], base=base[i + 1:])
+            trans = group._trans[i]  # orbit point -> member taking it to base[i]
+            for beta, t in trans.items():
+                u = inverse_perm(t)
+                for g in gens:
+                    assert compose(trans[int(g[beta])], compose(g, u)) in deeper
 
 
 @pytest.mark.parametrize("make, orbit_calls", [
-    (one_class_partition, 72),  # 24 levels closed, 24 cells climbed, 24 generators
+    (one_class_partition, 72),  # 24 chain levels, 24 cells climbed, 24 generators
     (wielandt_partition, 11),
 ])
 def test_the_climb_keeps_its_orbit(monkeypatch, make, orbit_calls):

@@ -349,6 +349,30 @@ def test_search_hands_over_a_strong_generating_set(literal):
                     assert compose(trans[int(g[beta])], compose(g, u)) in deeper
 
 
+@pytest.mark.parametrize("make,base_length", [
+    (one_class_partition, 24),
+    (wielandt_partition, 2),
+])
+def test_each_level_is_closed_once(monkeypatch, make, base_length):
+    # the search hands over a strong generating set, so rebuilding the
+    # chain from it closes each level with one orbit of its base point,
+    # deepest generators included, and loses no element
+    basis = SchurBasis.from_partition(make(field_from_literal("5^1")))
+    group = automorphism_group(cayley_color_graph(basis))
+    assert len(group.base) == base_length
+    calls = []
+    orbit = perms._orbit
+
+    def counted(seeds, gens):
+        calls.append(list(seeds))
+        return orbit(seeds, gens)
+
+    monkeypatch.setattr(perms, "_orbit", counted)
+    rebuilt = PermGroup(group.degree, group.generators, base=group.base)
+    assert calls == [[point] for point in group.base]
+    assert rebuilt.order() == group.order()
+
+
 @pytest.mark.parametrize("make, orbit_calls", [
     (one_class_partition, 72),  # 24 chain levels, 24 cells climbed, 24 generators
     (wielandt_partition, 11),

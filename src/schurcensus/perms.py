@@ -13,7 +13,8 @@ building anew.
 ``automorphism_group`` finds the automorphisms of a ``ColorGraph`` by
 individualization and refinement.  The refinement is a vectorized
 edge-colored analogue of naive vertex classification whose labels are
-canonical, so equal colorings of isomorphic graphs get equal labels.  The
+canonical, so equal colorings of isomorphic graphs get equal labels; each
+round ranks every vertex's row as one byte key with a 1-D ``np.unique``.  The
 search has three steps.  The descent follows the leftmost path to a
 discrete leaf; the vertices it individualizes are the base.  The climb
 goes back over the path's cells, deepest first, and skips every sibling
@@ -223,9 +224,12 @@ class ColorGraph:
         if off.size and diag & set(np.unique(off).tolist()):
             shared = sorted(diag & set(np.unique(off).tolist()))[0]
             raise ValueError(f"color {shared} appears both on and off the diagonal")
-        self.edge_colors = ec
+        # ranking is monotone, so refinement labels do not change, and the
+        # stored colors stay below n**2 however large the given ones are
+        distinct, ranks = np.unique(ec, return_inverse=True)
+        self.edge_colors = ranks.reshape(n, n).astype(np.int64, copy=False)
         self.n = n
-        self.ncolors = int(ec.max()) + 1
+        self.ncolors = len(distinct)
 
 
 def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
@@ -237,6 +241,12 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
     lexicographic rank of (old color, signature).  Labels are therefore
     canonical: relabeling the graph by a permutation permutes the result
     the same way, which the search below relies on for pruning.
+
+    The row (old color, sorted pair codes) of each vertex is written as
+    big-endian int64 and ranked as one byte string.  The codes are
+    nonnegative, and for nonnegative integers of one width big-endian byte
+    order is numeric order, so the byte order of the rows is exactly their
+    lexicographic order.
     """
     ec = graph.edge_colors
     n = graph.n
@@ -245,12 +255,17 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
     else:
         _, colors = np.unique(np.asarray(colors, dtype=np.int64), return_inverse=True)
     k = int(colors.max()) + 1
+    # edge colors are ranks below n**2 and colors below k <= n, so every
+    # entry of the table is nonnegative and below n**3, far from overflow
+    table = np.empty((n, n + 1), dtype=">i8")
+    keys = table.view(np.dtype((np.void, table.itemsize * (n + 1)))).reshape(n)
     while True:
         codes = ec * k + colors[None, :]
         codes.sort(axis=1)
-        table = np.concatenate([colors[:, None], codes], axis=1)
-        _, fresh = np.unique(table, axis=0, return_inverse=True)
-        fresh = fresh.astype(np.int64)
+        table[:, 0] = colors
+        table[:, 1:] = codes
+        _, fresh = np.unique(keys, return_inverse=True)
+        fresh = fresh.astype(np.int64, copy=False)
         knew = int(fresh.max()) + 1
         if knew == k:
             return fresh

@@ -165,6 +165,28 @@ def color_automorphisms(matrix):
     return out
 
 
+def refinement_labels(edge_colors, colors=None):
+    """The coarsest stable refinement of ``colors`` (uniform by default),
+    from its definition: a vertex's signature is the sorted tuple of
+    (edge color, endpoint color) pairs over all endpoints, and each round
+    gives it the rank of (old color, signature) among the sorted distinct
+    pairs, until the number of colors stops growing.  Colors start as the
+    ranks of the given ones."""
+    n = len(edge_colors)
+    colors = [0] * n if colors is None else [int(c) for c in colors]
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    while True:
+        keys = [(colors[v], tuple(sorted((int(edge_colors[v][u]), colors[u])
+                                         for u in range(n))))
+                for v in range(n)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        fresh = [rank[key] for key in keys]
+        if len(rank) == len(set(colors)):
+            return fresh
+        colors = fresh
+
+
 def perm_closure(gens, limit=200000):
     """Every element of the group generated by permutation tuples, via
     breadth-first closure under composition."""

@@ -34,6 +34,10 @@ from schurcensus.perms import (
 from schurcensus.schur import SchurBasis
 
 
+STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
+                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
+
+
 def graph_from_edges(n, edges, *, edge_color=1, non_edge=0, loop=2):
     mat = np.full((n, n), non_edge, dtype=np.int64)
     for u, v in edges:
@@ -242,6 +246,84 @@ def test_refinement_is_equivariant():
         assert np.array_equal(color_refinement(relabeled), colors[pi])
 
 
+def test_huge_colors_refine_like_their_ranks():
+    # a path with edge color 2**62: ec * k + colors wrapped when the raw
+    # colors were kept, and the labels broke their lexicographic order
+    mat = np.ones((6, 6), dtype=np.int64)
+    for u in range(5):
+        mat[u, u + 1] = mat[u + 1, u] = 2 ** 62
+    np.fill_diagonal(mat, 0)
+    _, ranks = np.unique(mat, return_inverse=True)
+    huge, ranked = ColorGraph(mat), ColorGraph(ranks.reshape(mat.shape))
+    colors = color_refinement(huge)
+    assert colors.tolist() == color_refinement(ranked).tolist() == [0, 2, 1, 1, 2, 0]
+    assert huge.ncolors == ranked.ncolors == 3
+    a, b = automorphism_group(huge), automorphism_group(ranked)
+    assert a.base == b.base and a.order() == b.order() == 2
+    assert [g.tolist() for g in a.generators] == [g.tolist() for g in b.generators]
+
+
+def check_labels_along_the_base(mat, colors=None):
+    """color_refinement against the reference from its definition, on
+    ``colors`` and after individualizing each base point of the search."""
+    graph = ColorGraph(mat)
+    refined = color_refinement(graph, colors)
+    assert refined.tolist() == naive.refinement_labels(mat.tolist(), colors)
+    for v in automorphism_group(graph).base:
+        individualized = refined.copy()
+        individualized[v] = refined.max() + 1
+        refined = color_refinement(graph, individualized)
+        assert refined.tolist() == naive.refinement_labels(mat.tolist(),
+                                                            individualized.tolist())
+
+
+def test_refinement_orders_rows_by_every_byte_of_the_key():
+    # 0 and 1 share a color, 2..21 have colors 1..20 (k = 21).  Both see
+    # every other vertex in edge color 12, except that 0 sees 4 and 1 sees
+    # 5 in color 13.  Their rows first differ where 0 has the code of 5,
+    # 12 * 21 + 4 = 256, and 1 has that of 4, 255: a key compared from its
+    # last byte would put 0 first
+    n = 22
+    mat = np.add.outer(np.arange(n), np.arange(n)) % 10 + 2
+    mat[:2, 2:] = mat[2:, :2] = 12
+    mat[0, 4] = mat[4, 0] = mat[1, 5] = mat[5, 1] = 13
+    mat[0, 1] = mat[1, 0] = 1
+    np.fill_diagonal(mat, 0)
+    colors = [0, 0] + list(range(1, n - 1))
+    refined = color_refinement(ColorGraph(mat), colors)
+    assert refined.tolist() == naive.refinement_labels(mat.tolist(), colors)
+    assert refined[1] < refined[0]
+
+
+@pytest.mark.parametrize("literal", [
+    "5^1",
+    pytest.param("7^1", marks=[pytest.mark.stretch, STRETCH]),
+    pytest.param("2^3", marks=[pytest.mark.stretch, STRETCH]),
+])
+def test_refinement_labels_match_the_definition_on_cayley_graphs(literal):
+    # every graph at 5^1; above it the orbit representatives, which are the
+    # graphs cross-validation searches (the reference is slow at 49 and 64)
+    partitions = (enumerate_partitions(field_from_literal(literal)) if literal == "5^1"
+                  else orbit_representatives(literal))
+    for pi in partitions:
+        basis = SchurBasis.from_partition(pi)
+        check_labels_along_the_base(cayley_color_graph(basis).edge_colors)
+
+
+def test_refinement_labels_match_the_definition_on_random_graphs():
+    rng = np.random.default_rng(20261018)
+    for trial in range(60):
+        # up to 30 colors and 30 vertices in up to 15 starting classes, so
+        # codes pass 255 and rows are told apart by more than their last byte
+        n = int(rng.integers(1, 31))
+        palette = rng.integers(2 ** 62 - 50, 2 ** 62 + 50, size=int(rng.integers(1, 31)))
+        mat = np.triu(rng.choice(palette, size=(n, n)), 1)
+        mat = mat + mat.T
+        np.fill_diagonal(mat, 0 if trial % 3 else 2 ** 62 + 50)  # least or greatest
+        colors = None if trial % 2 else (2 ** 62 + rng.integers(0, n // 2 + 1, size=n)).tolist()
+        check_labels_along_the_base(mat, colors)
+
+
 # ---------------------------------------------------------------------------
 # the automorphism search
 # ---------------------------------------------------------------------------
@@ -292,10 +374,6 @@ def test_star_search_starts_at_a_leaf():
     assert group.base[0] == 1
     with pytest.raises(ValueError, match="first point of the base"):
         group.point_stabilizer()
-
-
-STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
-                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
 
 
 @pytest.mark.parametrize("make,literal,record", [

@@ -21,6 +21,10 @@ verdict and |Aut| are constant on PGammaL(2, q)-orbits of partitions, while
 the prediction, which pins 0, 1 and infinity, is not.  ``cross_validate``
 therefore runs the oracle once per orbit, on the orbit's first partition
 in enumeration order, and evaluates the prediction on every partition.
+Both functions read the partitions off ``lines.partition_array``: the
+census renders and judges them in bulk, and cross-validation takes its
+orbits from ``lines.orbit_labels`` and its filtered scope from
+``lines.condition_mask``.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -33,10 +37,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import itertools
+import gc
 import logging
 import math
-import operator
 import os
 from typing import Iterator, NamedTuple, Optional
 
@@ -45,17 +48,17 @@ import numpy as np
 from .errors import InconsistencyError, PartitionFormatError, SizingError
 from .gf import Field, field_from_literal
 from .lines import (
-    INFINITY_LITERAL,
     LinePartition,
-    OrbitKeys,
     all_slopes,
     condition_holds,
+    condition_mask,
     enumerate_partitions,
     line_points,
     mobius_normalize,
+    orbit_labels,
+    partition_array,
+    partition_texts,
     point_index,
-    singleton_slopes,
-    slope_placements,
 )
 from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
 from .schur import SchurBasis, group_tables, verify_schur_axioms
@@ -389,39 +392,27 @@ def census(field: Field) -> Census:
     cross-validation and works for any field under the fixed census cap
     of 12 slopes (q <= 11).
 
-    The rows come one placement of the finite slopes 0..q-1 at a time, as
-    ``slope_placements`` lists them.  Only the last partition of a list,
-    where infinity is alone, is built, through the checked
-    ``LinePartition`` constructor, and judged by ``condition_holds``.
-    Every sibling is that checked partition with infinity moved from its
-    own last singleton class to the end of class j.  Infinity is the
-    greatest slope, so the move keeps every class sorted and the classes
-    sorted by least member: the sibling is canonical, and its text is the
-    checked text without the trailing ``|inf``, with ``,inf`` inserted at
-    the end of class j.  Its verdict is False, since the condition needs
-    the class {infinity} and no sibling has it."""
-    make = functools.partial(LinePartition, field)
-    alone = len(INFINITY_LITERAL) + 1  # the trailing "|inf"
-    joined = "," + INFINITY_LITERAL
-
-    def placement_rows(siblings: list) -> list[CensusRow]:
-        pi = make(siblings[-1])
-        text = str(pi)
-        head = text[:-alone]
-        # where each class of head ends: its cumulative length plus the
-        # "|" separators before it
-        ends = map(operator.add, itertools.accumulate(map(len, head.split("|"))),
-                   itertools.count())
-        rows = [CensusRow(head[:end] + joined + head[end:], False) for end in ends]
-        rows.append(CensusRow(text, condition_holds(pi)))
-        return rows
-
-    rows = tuple(itertools.chain.from_iterable(
-        map(placement_rows, slope_placements(field))))
+    The rows come from ``partition_array`` in bulk, which checks the whole
+    array once: the texts from ``partition_texts`` and the verdicts from
+    ``condition_mask``, with no partition built one at a time."""
+    rgs = partition_array(field)
+    predicts = condition_mask(field, rgs)
+    texts = partition_texts(field, rgs)
+    # a row holds a str and a bool and closes no reference cycle, but the
+    # collector cannot untrack a tuple subclass, so each full collection
+    # would scan every row built so far: at 11^1 that was three quarters
+    # of the 8.8 s spent building the rows
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = tuple(map(CensusRow, texts, predicts.tolist()))
+    finally:
+        if collecting:
+            gc.enable()
     return Census(
         field=field.literal,
         total=len(rows),
-        predicted=sum(r.predicts for r in rows),
+        predicted=int(predicts.sum()),
         rows=rows,
     )
 
@@ -468,8 +459,11 @@ def cross_validate(field: Field, *, scope: str = "all",
     """Run the schurian oracle against the prediction over a whole field.
 
     scope "all" examines every partition of the slopes; scope "filtered"
-    only the ones the prediction covers.  The oracle runs once per
-    PGammaL(2, q)-orbit, on the orbit's first partition, and its verdict
+    only the ones the prediction covers, picked by ``condition_mask``.
+    The chosen rows stream through ``enumerate_partitions`` and, in scope
+    "all", each is judged by ``condition_holds``.  The oracle runs once per
+    PGammaL(2, q)-orbit (``orbit_labels``), on the orbit's first chosen
+    partition in enumeration order, and its verdict
     and |Aut| stand for every partition of the orbit.  The moment an orbit
     holding a predicted partition comes back schurian the whole run aborts
     with InconsistencyError, naming the first such partition.  Results
@@ -482,14 +476,15 @@ def cross_validate(field: Field, *, scope: str = "all",
         raise SizingError(
             f"{field} needs the oracle on {field.q ** 2} points, above the "
             f"cap of {oracle_cap}")
-    source = enumerate_partitions(
-        field, condition_holds if scope == "filtered" else None)
-    orbit_key = OrbitKeys(field)
-    entries = []  # (partition, orbit key, predicted) in enumeration order
+    rgs = partition_array(field)
+    labels = orbit_labels(field, rgs)
+    if scope == "filtered":
+        chosen = condition_mask(field, rgs)
+        rgs, labels = rgs[chosen], labels[chosen]
+    entries = []  # (partition, orbit label, predicted) in enumeration order
     representative: dict = {}
     first_predicted: dict = {}
-    for pi in source:
-        key = orbit_key(pi.classes)
+    for pi, key in zip(enumerate_partitions(field, rgs), labels.tolist()):
         predicts = scope == "filtered" or condition_holds(pi)
         entries.append((pi, key, predicts))
         representative.setdefault(key, pi)

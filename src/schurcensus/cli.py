@@ -50,35 +50,45 @@ from .schur import SchurBasis, structure_constants, verify_line_sum_identities, 
     verify_schur_axioms
 
 TABLE_COMMANDS = ("census", "cross-validate")
+TSV_CHUNK_ROWS = 8192  # table rows rendered per step of emit_report
 
 
 # ---------------------------------------------------------------------------
 # canonical emission
 # ---------------------------------------------------------------------------
 
-def emit_report(report, fmt: str = "json") -> bytes:
+def emit_report(report, fmt: str = "json") -> bytes | bytearray:
     """Serialize a report deterministically.
 
     JSON accepts any plain document and is byte-stable because keys are
     sorted.  TSV accepts only the two table types; everything else has no
-    sensible column order.
+    sensible column order.  Its rows are rendered ``TSV_CHUNK_ROWS`` at a
+    time into one growing bytearray, which is returned as it is, so the
+    report exists once, and never also as a list of lines, one joined
+    string or a second copy as bytes.
     """
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt != "tsv":
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, Census):
-        lines = ["partition\tcriterion_verdict"]
-        lines += [f"{row.partition}\t{_verdict(row.predicts)}" for row in report.rows]
+        header = "partition\tcriterion_verdict\n"
+
+        def line(row) -> str:
+            return f"{row.partition}\t{_verdict(row.predicts)}\n"
     elif isinstance(report, CrossValidation):
-        lines = ["partition\tcriterion_verdict\toracle_verdict\taut_order"]
-        lines += ["\t".join((row.partition, _verdict(row.predicts),
-                             "schurian" if row.schurian else "non_schurian",
-                             str(row.aut_order)))
-                  for row in report.rows]
+        header = "partition\tcriterion_verdict\toracle_verdict\taut_order\n"
+
+        def line(row) -> str:
+            oracle = "schurian" if row.schurian else "non_schurian"
+            return f"{row.partition}\t{_verdict(row.predicts)}\t{oracle}\t{row.aut_order}\n"
     else:
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    out = bytearray(header.encode("utf-8"))
+    rows = report.rows
+    for start in range(0, len(rows), TSV_CHUNK_ROWS):
+        out += "".join(map(line, rows[start:start + TSV_CHUNK_ROWS])).encode("utf-8")
+    return out
 
 
 def _verdict(predicts: bool) -> str:

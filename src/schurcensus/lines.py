@@ -13,21 +13,20 @@ cell) induces a partition of V that downstream modules turn into a Schur
 ring basis.  The distinguished slope set M of a partition collects the
 slopes whose class is a singleton.
 
-A census visits all Bell(q + 1) partitions, so the per-partition path is
-kept to a few C-level calls.  ``slope_placements`` walks the canonical
-class tuples depth first without recursion and hands them out one
-placement of the finite slopes 0..q-1 at a time: the list of ways to add
-infinity to it, into each class in turn and then as a class of its own.
-``enumerate_partitions`` flattens those lists into checked partitions;
-the census builds only the last partition of each list, where infinity is
-alone, and derives the rows of its siblings from that one's text.
-``LinePartition`` checks its input in one pass and prints from a
-per-field tuple of slope literals.
+A census visits all Bell(q + 1) partitions, so they are held in bulk:
+``partition_array`` is one int8 array with a restricted growth string
+per partition, in enumeration order, checked once as a whole.
+``partition_texts`` and ``condition_mask`` give the canonical text and
+the prediction condition of many rows at once, in fixed blocks, and
+``enumerate_partitions`` streams rows as checked ``LinePartition``
+objects for the code that needs them one by one.  ``LinePartition``
+checks its input in one pass and prints from a per-field tuple of slope
+literals.
 
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
 slopes and on their partitions.  ``slope_symmetries`` gives generators of
-that action, and ``OrbitKeys`` names each partition's orbit by its least
-member.
+that action, and ``orbit_labels`` names each row's orbit by the index of
+its first member, working on the whole array at once.
 """
 
 from __future__ import annotations
@@ -35,12 +34,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import PartitionFormatError, SizingError
+import numpy as np
+
+from .errors import InconsistencyError, PartitionFormatError, SizingError
 from .gf import Field, field_from_literal
 
-DEFAULT_CENSUS_CAP = 12  # largest slope count slope_placements will stream
+DEFAULT_CENSUS_CAP = 12  # largest slope count partition_array will hold
 
 INFINITY_LITERAL = "inf"
 
@@ -291,86 +292,199 @@ def slope_symmetries(field: Field) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
-Classes = tuple[tuple[int, ...], ...]
+# ---------------------------------------------------------------------------
+# every partition as one array
+# ---------------------------------------------------------------------------
+
+BLOCK_ROWS = 8192  # rows per pass of the bulk functions, to bound temporaries
 
 
-class OrbitKeys:
-    """Maps the canonical ``classes`` of a partition to the least member of
-    its PGammaL(2, q)-orbit.  The first lookup in an orbit walks all of it,
-    breadth first over the generator images, and stores every member, so
-    each later member of that orbit costs one dict lookup."""
+@functools.lru_cache(maxsize=None)
+def partition_array(field: Field) -> np.ndarray:
+    """Every partition of the slope set as one read-only (Bell(q + 1),
+    q + 1) int8 array of restricted growth strings (RGS): entry s of a row
+    is the class of slope s, classes numbered by least member, so that
+    ``LinePartition.classes`` lists them in that order.  Rows come in
+    lexicographic order: the one-class partition first, the all-singleton
+    partition last.
 
-    def __init__(self, field: Field):
-        self.generators = slope_symmetries(field)
-        self._least: dict[Classes, Classes] = {}
+    The array grows one slope at a time: a row whose classes so far are
+    0..m becomes m + 2 rows, one per class the next slope can join, in
+    order.  Fields with more than ``DEFAULT_CENSUS_CAP`` slopes raise
+    SizingError before any work, and the result is checked in bulk (see
+    ``_check_rgs``) before it is returned."""
+    n = field.q + 1
+    if n > DEFAULT_CENSUS_CAP:
+        raise SizingError(
+            f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
+            f"(Bell numbers grow too fast beyond that)")
+    rgs = np.zeros((1, n), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)  # the greatest class of each row so far
+    for i in range(1, n):
+        counts = top.astype(np.intp) + 2
+        rgs = np.repeat(rgs, counts, axis=0)
+        top = np.repeat(top, counts)
+        rgs[:, i] = np.arange(len(rgs)) - np.repeat(np.cumsum(counts) - counts, counts)
+        np.maximum(top, rgs[:, i], out=top)
+    _check_rgs(rgs)
+    rgs.setflags(write=False)
+    return rgs
 
-    def __call__(self, classes: Classes) -> Classes:
-        key = self._least.get(classes)
-        if key is None:
-            orbit = [classes]
-            seen = {classes}
-            for member in orbit:
-                for g in self.generators:
-                    image = tuple(sorted(tuple(sorted(g[s] for s in cls))
-                                         for cls in member))
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-            key = min(orbit)
-            self._least.update(dict.fromkeys(orbit, key))
-        return key
+
+def _check_rgs(rgs: np.ndarray) -> None:
+    """Raise InconsistencyError unless every row is a restricted growth
+    string (column 0 is 0, each entry at most one above every entry
+    before it) and the rows strictly increase, so none repeats."""
+    tops = np.maximum.accumulate(rgs, axis=1)
+    if not ((rgs[:, 0] == 0).all() and (rgs >= 0).all()
+            and (rgs[:, 1:] <= tops[:, :-1] + 1).all()
+            and (np.diff(_codes(rgs)) > 0).all()):
+        raise InconsistencyError("the partition array is not a strictly "
+                                 "increasing list of restricted growth strings")
+
+
+def _codes(rgs: np.ndarray) -> np.ndarray:
+    """Each row read as a base-n number, n the row length, as int64 (12**12
+    fits).  Entries are below n, so code order is lexicographic order."""
+    n = rgs.shape[1]
+    codes = np.zeros(len(rgs), dtype=np.int64)
+    for column in rgs.T:
+        codes *= n
+        codes += column
+    return codes
+
+
+def _first_occurrence(labels: np.ndarray) -> np.ndarray:
+    """Renumber the classes of each row in order of first occurrence, which
+    turns any labelling into its restricted growth string."""
+    rows, n = labels.shape
+    renamed = np.full(rows * n, -1, dtype=np.int8)  # (row, old class) -> new
+    opened = np.zeros(rows, dtype=np.int8)  # classes numbered so far per row
+    at = np.arange(rows) * n
+    out = np.empty_like(labels)
+    for j in range(n):
+        where = at + labels[:, j]
+        new = renamed[where]
+        fresh = new < 0
+        new[fresh] = opened[fresh]
+        renamed[where[fresh]] = new[fresh]
+        opened += fresh
+        out[:, j] = new
+    return out
+
+
+def partition_texts(field: Field, rows: np.ndarray) -> list[str]:
+    """The canonical text ``str(LinePartition)`` of each RGS row, built in
+    blocks of ``BLOCK_ROWS`` rows.
+
+    Sorting the keys class * n + slope lists each row's slopes in text
+    order.  Every slope occurs once, so every text has the same length;
+    each slope's literal is laid out zero-padded behind its separator
+    (``,`` inside a class, ``|`` between classes), and dropping the zero
+    bytes leaves the texts as one fixed-width block."""
+    n = field.q + 1
+    literals = _slope_literals(field)
+    width = max(map(len, literals))
+    length = sum(map(len, literals)) + n - 1
+    table = np.zeros((n, width), dtype=np.uint8)
+    for s, lit in enumerate(literals):
+        table[s, :len(lit)] = np.frombuffer(lit.encode("ascii"), dtype=np.uint8)
+    order = np.arange(n, dtype=np.int16)
+    texts: list[str] = []
+    for start in range(0, len(rows), BLOCK_ROWS):
+        keys = np.sort(rows[start:start + BLOCK_ROWS].astype(np.int16) * n + order, axis=1)
+        classes, slopes = np.divmod(keys, n)
+        pieces = np.zeros((len(keys), n, 1 + width), dtype=np.uint8)
+        pieces[:, 1:, 0] = np.where(classes[:, 1:] == classes[:, :-1], ord(","), ord("|"))
+        pieces[:, :, 1:] = table[slopes]
+        flat = pieces.reshape(len(keys), -1)
+        text = flat[flat != 0].reshape(len(keys), length)
+        texts += text.astype(np.uint32).view(f"U{length}").ravel().tolist()
+    return texts
+
+
+def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:
+    """``condition_holds`` on each RGS row, as a boolean array: the slopes
+    0, 1 and infinity are singletons, and the bit mask of the singleton
+    finite slopes is not that of a subfield.  As in ``condition_holds``,
+    the class positions reject most rows before the set work."""
+    q = field.q
+    subfields = [sum(1 << s for s in sub) for sub in field.subfields()]
+    bits = np.int64(1) << np.arange(q, dtype=np.int64)
+    out = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        # 0 and 1 alone are the classes 0 and 1 of the RGS, and infinity
+        # alone is a last class no finite slope is in
+        pinned = ((block[:, 1:] != 0).all(axis=1) & (block[:, 2:] != 1).all(axis=1)
+                  & (block[:, q] > block[:, :q].max(axis=1)))
+        hits = block[pinned]
+        alone = (hits[:, :, None] == hits[:, None, :]).sum(axis=2) == 1
+        pinned[pinned] = ~np.isin(alone[:, :q] @ bits, subfields)
+        out[start:start + BLOCK_ROWS] = pinned
+    return out
+
+
+def orbit_labels(field: Field, rgs: np.ndarray) -> np.ndarray:
+    """For each row of ``rgs``, the index of the first row of its
+    PGammaL(2, q)-orbit: rows with equal labels lie in one orbit, and the
+    label is the orbit's first partition in enumeration order.
+
+    ``rgs`` holds RGS rows in increasing order and is closed under the
+    action, as ``partition_array(field)`` is; a missing image raises
+    ValueError.  Each ``slope_symmetries`` generator moves every row at
+    once (the columns permuted, then renumbered by first occurrence) and
+    the images are found by binary search on the row codes.  Each row
+    then takes the least label of its images, with pointer jumping,
+    until the least index is the same on every orbit (each generator has
+    finite order, so its images reach every row of the orbit)."""
+    codes = _codes(rgs)
+    images = []
+    for g in slope_symmetries(field):
+        # slope g[s] of the image lies in the class of slope s
+        inverse = [0] * len(g)
+        for s, t in enumerate(g):
+            inverse[t] = s
+        moved = _codes(_first_occurrence(rgs[:, inverse]))
+        found = np.searchsorted(codes, moved)
+        # an image above every code would be found at len(codes)
+        if (found == len(codes)).any() or (codes[found % len(codes)] != moved).any():
+            raise ValueError("the rows are not closed under PGammaL(2, q)")
+        images.append(found)
+    labels = np.arange(len(rgs))
+    while True:
+        before = labels.copy()
+        for image in images:
+            np.minimum(labels, labels[image], out=labels)
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def slope_placements(field: Field) -> Iterator[list[Classes]]:
-    """Stream the canonical class tuples of every partition of the slope
-    set in restricted-growth-string order, as one list per placement of
-    the finite slopes 0..q-1.  Each list holds the ways of adding infinity
-    to that placement: at the end of class 0, ..., of class k - 1, then as
-    a class of its own, which is always the last entry.
-
-    The stream is an iterative depth-first walk: slope i joins each class
-    in turn, then opens a class of its own.  Fields with more than
-    ``DEFAULT_CENSUS_CAP`` slopes raise SizingError here, before anything
-    is iterated."""
-    n = field.q + 1
-    if n > DEFAULT_CENSUS_CAP:
-        raise SizingError(
-            f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
-            f"(Bell numbers grow too fast beyond that)")
-    return _class_tuples(n)
-
-
-def enumerate_partitions(
-        field: Field, predicate: Optional[Callable[[LinePartition], bool]] = None,
-) -> Iterator[LinePartition]:
-    """Stream every partition of the slope set in restricted-growth-string
-    order (so the one-class partition comes first and the all-singleton
-    partition last), optionally filtered by ``predicate``: the
-    ``slope_placements`` lists, flattened and checked.  Fields above the
+def enumerate_partitions(field: Field,
+                         rows: Optional[np.ndarray] = None) -> Iterator[LinePartition]:
+    """Stream the RGS ``rows`` as checked partitions, in their order; by
+    default every row of ``partition_array(field)``, so every partition
+    of the slope set in restricted-growth-string order (the one-class
+    partition first, the all-singleton partition last).  Fields above the
     census cap raise SizingError here, before anything is iterated."""
-    partitions = map(functools.partial(LinePartition, field),
-                     itertools.chain.from_iterable(slope_placements(field)))
-    return partitions if predicate is None else filter(predicate, partitions)
+    if rows is None:
+        rows = partition_array(field)
+    make = functools.partial(_partition_of, field)
+    return itertools.chain.from_iterable(
+        map(make, rows[start:start + BLOCK_ROWS].tolist())
+        for start in range(0, len(rows), BLOCK_ROWS))
 
 
-def _class_tuples(n: int) -> Iterator[list[Classes]]:
-    """The walk behind ``slope_placements``, over the slopes 0..n-1
-    (n >= 2)."""
-    last = n - 1
-    stack: list[tuple[int, Classes]] = [(1, ((0,),))]
-    while stack:
-        i, classes = stack.pop()
-        grown = [classes[:j] + (cls + (i,),) + classes[j + 1:]
-                 for j, cls in enumerate(classes)]
-        grown.append(classes + ((i,),))
-        if i == last:
-            yield grown
-        else:
-            stack.extend((i + 1, c) for c in reversed(grown))
+def _partition_of(field: Field, labels: list[int]) -> LinePartition:
+    classes: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for s, c in enumerate(labels):
+        classes[c].append(s)
+    return LinePartition(field, classes)
 
 
 # ---------------------------------------------------------------------------

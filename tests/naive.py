@@ -132,6 +132,29 @@ def set_partitions(items):
     yield from rec(1, 0)
 
 
+def orbit_keys(partitions, generators):
+    """For each partition (canonical class tuples, in any order), the least
+    member of its orbit under the group the slope permutations generate.
+    The first partition met in an orbit walks all of it, breadth first
+    over the generator images, and every member is stored with its key."""
+    least = {}
+    keys = []
+    for classes in partitions:
+        if classes not in least:
+            orbit = [classes]
+            seen = {classes}
+            for member in orbit:
+                for g in generators:
+                    image = tuple(sorted(tuple(sorted(g[s] for s in cls))
+                                         for cls in member))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        keys.append(least[classes])
+    return keys
+
+
 # --- group algebra -----------------------------------------------------------
 
 def dict_convolve(a, b, add):

@@ -13,11 +13,12 @@ from schurcensus import analysis, make_field
 from schurcensus.errors import InconsistencyError, SizingError
 from schurcensus.lines import (
     LinePartition,
-    OrbitKeys,
     all_slopes,
     condition_holds,
     enumerate_partitions,
     one_class_partition,
+    orbit_labels,
+    partition_array,
     singleton_partition,
     singleton_slopes,
     wielandt_partition,
@@ -371,8 +372,8 @@ def test_census_counts():
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
 def test_census_rows_match_the_per_partition_path(p, e):
-    # the census splices infinity into the text of one checked partition
-    # per placement of the finite slopes; the reference builds every row
+    # the census renders its rows in bulk from the partition array; the
+    # reference builds every row
     field = make_field(p, e)
     expected = [(str(pi), condition_holds(pi)) for pi in enumerate_partitions(field)]
     table = census(field)
@@ -381,21 +382,25 @@ def test_census_rows_match_the_per_partition_path(p, e):
     assert table.predicted == sum(predicts for _, predicts in expected)
 
 
-def test_census_judges_one_partition_per_placement(monkeypatch):
+def test_census_builds_no_partition_one_at_a_time(monkeypatch):
+    # texts and verdicts come from the array in bulk: no per-row
+    # LinePartition and no condition_holds call
     calls = []
-    real = analysis.condition_holds
+    real_condition, real_init = analysis.condition_holds, LinePartition.__init__
 
-    def counting(pi):
+    def counting_condition(pi):
         calls.append(pi)
-        return real(pi)
+        return real_condition(pi)
 
-    monkeypatch.setattr(analysis, "condition_holds", counting)
-    for p, e, bell_q in ((5, 1, 52), (2, 3, 4140)):
-        calls.clear()
-        census(make_field(p, e))
-        assert len(calls) == bell_q
-        assert all(pi.classes[-1] == (pi.field.q,) for pi in calls)
-    calls.clear()
+    def counting_init(self, *args):
+        calls.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(analysis, "condition_holds", counting_condition)
+    monkeypatch.setattr(LinePartition, "__init__", counting_init)
+    for p, e, bell in ((5, 1, 203), (2, 3, 21147)):
+        assert census(make_field(p, e)).total == bell
+    assert not calls
     with pytest.raises(SizingError, match="census cap of 12"):
         census(make_field(13, 1))
     assert not calls
@@ -464,9 +469,10 @@ def test_cross_validate_runs_the_oracle_once_per_orbit(monkeypatch, caplog):
 def test_cross_validate_aborts_per_orbit(monkeypatch):
     # pretend the oracle finds the Wielandt orbit of 5^1 schurian
     field = make_field(5, 1)
-    key = OrbitKeys(field)
-    target = key(wielandt_partition(field).classes)
-    orbit = [pi for pi in enumerate_partitions(field) if key(pi.classes) == target]
+    labels = orbit_labels(field, partition_array(field)).tolist()
+    partitions = list(enumerate_partitions(field))
+    target = labels[partitions.index(wielandt_partition(field))]
+    orbit = [pi for pi, label in zip(partitions, labels) if label == target]
     flipped = {SchurBasis.from_partition(pi) for pi in orbit}
     real = analysis.schurian_test
 

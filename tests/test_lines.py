@@ -2,33 +2,37 @@
 
 import itertools
 import json
+import os
 import re
 
+import numpy as np
 import pytest
 
 import naive
-from schurcensus import make_field
-from schurcensus.errors import PartitionFormatError, SizingError
+from schurcensus import lines, make_field
+from schurcensus.errors import InconsistencyError, PartitionFormatError, SizingError
 from schurcensus.lines import (
     LinePartition,
-    OrbitKeys,
     all_slopes,
     apply_matrix_to_point,
     apply_matrix_to_slope,
     condition_holds,
+    condition_mask,
     enumerate_partitions,
     induced_partition,
     line_points,
     load_partition,
     mobius_normalize,
     one_class_partition,
+    orbit_labels,
     parse_partition,
     parse_slope_literal,
+    partition_array,
+    partition_texts,
     partition_to_json_dict,
     point_index,
     punctured_line,
     singleton_partition,
-    slope_placements,
     singleton_slopes,
     slope_literal,
     slope_symmetries,
@@ -36,6 +40,8 @@ from schurcensus.lines import (
 )
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
+                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
 
 
 def fields(pairs=SMALL_QS):
@@ -227,28 +233,85 @@ def test_enumerate_partitions_census_cap():
     assert next(iter(stream)) == one_class_partition(make_field(11, 1))
 
 
-def test_slope_placements_group_the_ways_of_adding_infinity():
-    # the census relies on this grouping: one list per placement of the
-    # finite slopes, infinity at the end of each class, then alone
-    for field in fields([(2, 1), (3, 1), (2, 2), (5, 1)]):
-        q = field.q
-        lists = list(slope_placements(field))
-        assert len(lists) == naive.bell(q)
-        for siblings in lists:
-            placement = siblings[-1][:-1]
-            assert siblings[-1] == placement + ((q,),)
-            assert siblings[:-1] == [placement[:j] + (cls + (q,),) + placement[j + 1:]
-                                     for j, cls in enumerate(placement)]
-        assert [c for siblings in lists for c in siblings] == [
-            pi.classes for pi in enumerate_partitions(field)]
+def test_partition_array_is_the_reference_order():
+    # the census and cross-validation read every partition off this array
+    for field in fields([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]):
+        rgs = partition_array(field)
+        assert rgs.dtype == np.int8 and rgs.shape == (naive.bell(field.q + 1), field.q + 1)
+        expected = []
+        for blocks in naive.set_partitions(all_slopes(field)):
+            row = [0] * (field.q + 1)
+            for c, block in enumerate(blocks):
+                for s in block:
+                    row[s] = c
+            expected.append(row)
+        assert rgs.tolist() == expected
+        # cached per field, and read-only
+        assert partition_array(field) is rgs
+        with pytest.raises(ValueError, match="read-only"):
+            rgs[0, 0] = 1
     with pytest.raises(SizingError, match="census cap of 12"):
-        slope_placements(make_field(13, 1))
+        partition_array(make_field(13, 1))
 
 
-def test_enumerate_partitions_predicate_filter():
+@pytest.mark.parametrize("corrupt", [
+    lambda rgs: rgs[[1, 0, *range(2, len(rgs))]],      # two rows swapped
+    lambda rgs: rgs[[0, 1, 1, *range(3, len(rgs))]],   # a row repeated
+    lambda rgs: np.where(np.arange(len(rgs))[:, None] == 7, 0, rgs)[:-1],  # a row lost, one repeated
+], ids=["swapped", "repeated", "overwritten"])
+def test_a_corrupted_partition_array_trips_the_bulk_check(corrupt):
+    rgs = partition_array(make_field(5, 1))
+    lines._check_rgs(rgs)
+    with pytest.raises(InconsistencyError, match="restricted growth"):
+        lines._check_rgs(corrupt(rgs))
+
+
+@pytest.mark.parametrize("row, column, value", [
+    (5, 0, 1),     # column 0 is not 0
+    (5, 3, 4),     # more than one above the prefix maximum
+    (202, 5, -1),  # negative
+])
+def test_a_bad_entry_trips_the_bulk_check(row, column, value):
+    rgs = partition_array(make_field(5, 1)).copy()
+    rgs[row, column] = value
+    with pytest.raises(InconsistencyError, match="restricted growth"):
+        lines._check_rgs(rgs)
+
+
+def test_enumerate_partitions_streams_the_given_rows():
     field = make_field(3, 1)
-    only = list(enumerate_partitions(field, lambda pi: len(pi.classes) == 2))
+    rgs = partition_array(field)
+    two = rgs[rgs.max(axis=1) == 1]
+    only = list(enumerate_partitions(field, two))
     assert len(only) == 7  # Stirling(4, 2)
+    assert all(len(pi.classes) == 2 for pi in only)
+    every = list(enumerate_partitions(field))
+    assert list(enumerate_partitions(field, rgs[::-1])) == every[::-1]
+    assert list(enumerate_partitions(field, rgs[:0])) == []
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_bulk_texts_and_mask_match_each_partition(p, e):
+    field = make_field(p, e)
+    rgs = partition_array(field)
+    partitions = list(enumerate_partitions(field))
+    assert partition_texts(field, rgs) == [str(pi) for pi in partitions]
+    assert condition_mask(field, rgs).tolist() == [condition_holds(pi) for pi in partitions]
+    # any subset of rows, in any order, across block boundaries
+    picked = np.arange(len(rgs))[::-3]
+    assert partition_texts(field, rgs[picked]) == [str(partitions[i]) for i in picked]
+    assert (condition_mask(field, rgs[picked]).tolist()
+            == [condition_holds(partitions[i]) for i in picked])
+
+
+def test_bulk_texts_and_mask_at_eleven():
+    # the only field whose literals include the two-character "10"
+    field = make_field(11, 1)
+    rgs = partition_array(field)[::997]
+    partitions = list(enumerate_partitions(field, rgs))
+    assert partition_texts(field, rgs) == [str(pi) for pi in partitions]
+    assert condition_mask(field, rgs).tolist() == [condition_holds(pi) for pi in partitions]
+    assert all("10" in re.split("[,|]", str(pi)) for pi in partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +405,49 @@ def test_slope_symmetries_generate_pgammal(p, e, order):
                      for s in all_slopes(field)) in group
 
 
-@pytest.mark.parametrize("p, e, orbits", [(3, 1, 5), (2, 2, 7), (5, 1, 13),
-                                          (7, 1, 47), (2, 3, 49)])
+@pytest.mark.parametrize("p, e, orbits", [
+    (3, 1, 5), (2, 2, 7), (5, 1, 13), (7, 1, 47), (2, 3, 49), (3, 2, 206),
+    pytest.param(11, 1, 3864, marks=[pytest.mark.stretch, STRETCH]),
+])
 def test_orbit_keys_count_the_orbits(p, e, orbits):
     field = make_field(p, e)
-    key = OrbitKeys(field)
-    keys = {key(pi.classes) for pi in enumerate_partitions(field)}
-    assert len(keys) == orbits
-    # each key is the least member of its own orbit
-    assert all(key(k) == k for k in keys)
+    rgs = partition_array(field)
+    labels = orbit_labels(field, rgs)
+    assert len(np.unique(labels)) == orbits
+    # each label is the first index of its own orbit
+    assert (labels <= np.arange(len(rgs))).all()
+    assert (labels[labels] == labels).all()
+    if field.q <= 9:
+        # the same orbits as the breadth-first walk
+        classes = [pi.classes for pi in enumerate_partitions(field)]
+        first = {}
+        reference = [first.setdefault(key, i) for i, key in
+                     enumerate(naive.orbit_keys(classes, slope_symmetries(field)))]
+        assert labels.tolist() == reference
 
 
 def test_orbit_keys_follow_the_symmetry():
+    # 2^2 and 2^3 have a Frobenius generator
+    for field in fields([(5, 1), (2, 2), (2, 3)]):
+        partitions = list(enumerate_partitions(field))
+        index = {pi: i for i, pi in enumerate(partitions)}
+        labels = orbit_labels(field, partition_array(field))
+        for i, pi in enumerate(partitions):
+            for g in slope_symmetries(field):
+                image = LinePartition(field, [[g[s] for s in cls] for cls in pi.classes])
+                assert labels[index[image]] == labels[i] <= i
+            # the orbit keeps the shape of the partition
+            assert (sorted(map(len, partitions[labels[i]].classes))
+                    == sorted(map(len, pi.classes)))
+
+
+def test_orbit_labels_need_rows_closed_under_the_action():
     field = make_field(5, 1)
-    key = OrbitKeys(field)
-    for pi in enumerate_partitions(field):
-        for g in slope_symmetries(field):
-            image = LinePartition(field, [[g[s] for s in cls] for cls in pi.classes])
-            assert key(image.classes) == key(pi.classes) <= pi.classes
-        # the orbit keeps the shape of the partition
-        assert (sorted(map(len, key(pi.classes)))
-                == sorted(map(len, pi.classes)))
+    rgs = partition_array(field)
+    # the one-class and all-singleton partitions are orbits of their own
+    assert orbit_labels(field, rgs[1:-1]).tolist() == (orbit_labels(field, rgs)[1:-1] - 1).tolist()
+    with pytest.raises(ValueError, match="not closed"):
+        orbit_labels(field, np.delete(rgs, 5, axis=0))
 
 
 # ---------------------------------------------------------------------------

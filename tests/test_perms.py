@@ -14,9 +14,10 @@ from schurcensus.analysis import cayley_color_graph
 from schurcensus.errors import SizingError
 from schurcensus.gf import field_from_literal
 from schurcensus.lines import (
-    OrbitKeys,
     enumerate_partitions,
     one_class_partition,
+    orbit_labels,
+    partition_array,
     singleton_partition,
     wielandt_partition,
 )
@@ -398,11 +399,8 @@ def orbit_representatives(literal):
     """The first partition of each PGammaL(2, q)-orbit, in enumeration
     order, as cross-validation picks them."""
     field = field_from_literal(literal)
-    key = OrbitKeys(field)
-    first = {}
-    for pi in enumerate_partitions(field):
-        first.setdefault(key(pi.classes), pi)
-    return list(first.values())
+    rgs = partition_array(field)
+    return list(enumerate_partitions(field, rgs[np.unique(orbit_labels(field, rgs))]))
 
 
 @pytest.mark.parametrize("literal", [

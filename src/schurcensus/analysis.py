@@ -21,10 +21,10 @@ verdict and |Aut| are constant on PGammaL(2, q)-orbits of partitions, while
 the prediction, which pins 0, 1 and infinity, is not.  ``cross_validate``
 therefore runs the oracle once per orbit, on the orbit's first partition
 in enumeration order, and evaluates the prediction on every partition.
-Both functions read the partitions off ``lines.partition_array``: the
-census renders and judges them in bulk, and cross-validation takes its
-orbits from ``lines.orbit_labels`` and its filtered scope from
-``lines.condition_mask``.
+Both functions read their rows off ``lines.partition_array`` in bulk,
+texts from ``lines.partition_texts`` and predictions from
+``lines.condition_mask``; cross-validation groups them by
+``lines.orbit_labels`` and builds only the orbit representatives.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -388,33 +388,31 @@ class Census(NamedTuple):
 
 def census(field: Field) -> Census:
     """Tabulate the prediction over every partition of the slopes, in
-    enumeration order.  No oracle runs; this is the cheap half of the
-    cross-validation and works for any field under the fixed census cap
-    of 12 slopes (q <= 11).
-
-    The rows come from ``partition_array`` in bulk, which checks the whole
-    array once: the texts from ``partition_texts`` and the verdicts from
-    ``condition_mask``, with no partition built one at a time."""
+    enumeration order, read off ``partition_array`` in bulk with no
+    partition built one at a time.  No oracle runs; this is the cheap half
+    of the cross-validation and works for any field under the fixed census
+    cap of 12 slopes (q <= 11)."""
     rgs = partition_array(field)
     predicts = condition_mask(field, rgs)
-    texts = partition_texts(field, rgs)
-    # a row holds a str and a bool and closes no reference cycle, but the
-    # collector cannot untrack a tuple subclass, so each full collection
-    # would scan every row built so far: at 11^1 that was three quarters
-    # of the 8.8 s spent building the rows
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        rows = tuple(map(CensusRow, texts, predicts.tolist()))
-    finally:
-        if collecting:
-            gc.enable()
+    rows = _table_rows(CensusRow, partition_texts(field, rgs), predicts.tolist())
     return Census(
         field=field.literal,
         total=len(rows),
         predicted=int(predicts.sum()),
         rows=rows,
     )
+
+
+def _table_rows(row_type, *columns) -> tuple:
+    # rows close no reference cycle, but the collector cannot untrack a tuple
+    # subclass and would rescan them all: 3/4 of the 11^1 row build time
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(map(row_type, *columns))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class CrossRow(NamedTuple):
@@ -438,11 +436,12 @@ class CrossValidation(NamedTuple):
     rows: tuple[CrossRow, ...]
 
 
-def _oracle_worker(payload) -> tuple[bool, int]:
+def _oracle_worker(payload) -> tuple[bool, int, bool]:
     literal, classes, oracle_cap = payload
-    pi = LinePartition(field_from_literal(literal), classes)
-    report = schurian_test(SchurBasis.from_partition(pi), cap=oracle_cap)
-    return report.schurian, report.aut_order
+    report = analyze_partition(LinePartition(field_from_literal(literal), classes),
+                               oracle_cap=oracle_cap)
+    return (report.oracle_verdict == SCHURIAN, report.aut_order,
+            report.criterion_verdict == PREDICTS_NONSCHURIAN)
 
 
 def default_workers() -> int:
@@ -459,16 +458,16 @@ def cross_validate(field: Field, *, scope: str = "all",
     """Run the schurian oracle against the prediction over a whole field.
 
     scope "all" examines every partition of the slopes; scope "filtered"
-    only the ones the prediction covers, picked by ``condition_mask``.
-    The chosen rows stream through ``enumerate_partitions`` and, in scope
-    "all", each is judged by ``condition_holds``.  The oracle runs once per
+    only the ones ``condition_mask`` predicts.  The oracle runs once per
     PGammaL(2, q)-orbit (``orbit_labels``), on the orbit's first chosen
-    partition in enumeration order, and its verdict
-    and |Aut| stand for every partition of the orbit.  The moment an orbit
-    holding a predicted partition comes back schurian the whole run aborts
-    with InconsistencyError, naming the first such partition.  Results
-    are in enumeration order whatever the worker count.  A worker that
-    dies raises concurrent.futures.process.BrokenProcessPool.
+    partition in enumeration order, the only one built as a
+    ``LinePartition``; its verdict and |Aut| stand for the whole orbit,
+    and its ``condition_holds`` verdict must equal its mask bit or the run
+    raises InconsistencyError.  The moment an orbit holding a predicted
+    partition comes back schurian the whole run aborts with
+    InconsistencyError, naming the first such partition.  Results are in
+    enumeration order whatever the worker count.  A worker that dies
+    raises concurrent.futures.process.BrokenProcessPool.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -478,53 +477,53 @@ def cross_validate(field: Field, *, scope: str = "all",
             f"cap of {oracle_cap}")
     rgs = partition_array(field)
     labels = orbit_labels(field, rgs)
+    predicts = condition_mask(field, rgs)
     if scope == "filtered":
-        chosen = condition_mask(field, rgs)
-        rgs, labels = rgs[chosen], labels[chosen]
-    entries = []  # (partition, orbit label, predicted) in enumeration order
-    representative: dict = {}
-    first_predicted: dict = {}
-    for pi, key in zip(enumerate_partitions(field, rgs), labels.tolist()):
-        predicts = scope == "filtered" or condition_holds(pi)
-        entries.append((pi, key, predicts))
-        representative.setdefault(key, pi)
-        if predicts:
-            first_predicted.setdefault(key, pi)
+        rgs, labels, predicts = rgs[predicts], labels[predicts], predicts[predicts]
+    texts = partition_texts(field, rgs)
+    _, firsts, orbit_of = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)  # the orbits by their first chosen row
     logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
-                field.literal, scope, len(entries), len(representative))
+                field.literal, scope, len(rgs), len(firsts))
 
     payloads = [(field.literal, pi.classes, oracle_cap)
-                for pi in representative.values()]
+                for pi in enumerate_partitions(field, rgs[firsts[order]])]
     workers = default_workers() if workers is None else max(1, int(workers))
     workers = min(workers, len(payloads))
-    verdicts: dict = {}
+    orbit_schurian = np.zeros(len(firsts), dtype=bool)
+    aut_orders = np.zeros(len(firsts), dtype=object)  # rows share these ints
     # the executor module loads on first use, so runs without a pool
     # never import it
     pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         produced = (pool.map(_oracle_worker, payloads) if pool
                     else map(_oracle_worker, payloads))
-        for key, verdict in zip(representative, produced):
-            if verdict[0] and key in first_predicted:
+        for k, (found, aut_order, holds) in zip(order.tolist(), produced):
+            if holds != predicts[firsts[k]]:
                 raise InconsistencyError(
-                    f"partition {first_predicted[key]} is predicted "
+                    f"partition {texts[firsts[k]]}: condition_holds gives {holds} "
+                    f"but the condition mask gives {not holds}")
+            predicted = np.flatnonzero(predicts & (orbit_of == k)) if found else ()
+            if len(predicted):
+                raise InconsistencyError(
+                    f"partition {texts[predicted[0]]} is predicted "
                     f"non-schurian but the oracle finds it schurian")
-            verdicts[key] = verdict
+            orbit_schurian[k], aut_orders[k] = found, aut_order
     finally:
         if pool is not None:
             # drop the runs not yet started and join the workers, whose
             # CPU time only then counts in the RUSAGE_CHILDREN of this process
             pool.shutdown(cancel_futures=True)
 
-    rows = [CrossRow(str(pi), predicts, *verdicts[key])
-            for pi, key, predicts in entries]
+    schurian = orbit_schurian[orbit_of]
     return CrossValidation(
         field=field.literal,
         scope=scope,
-        total=len(rows),
-        predicted_nonschurian=sum(r.predicts and not r.schurian for r in rows),
-        predicted_schurian=sum(r.predicts and r.schurian for r in rows),
-        unpredicted_nonschurian=sum(not r.predicts and not r.schurian for r in rows),
-        unpredicted_schurian=sum(not r.predicts and r.schurian for r in rows),
-        rows=tuple(rows),
+        total=len(rgs),
+        predicted_nonschurian=int((predicts & ~schurian).sum()),
+        predicted_schurian=int((predicts & schurian).sum()),
+        unpredicted_nonschurian=int((~predicts & ~schurian).sum()),
+        unpredicted_schurian=int((~predicts & schurian).sum()),
+        rows=_table_rows(CrossRow, texts, predicts.tolist(), schurian.tolist(),
+                         aut_orders[orbit_of]),
     )

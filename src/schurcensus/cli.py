@@ -39,6 +39,7 @@ from .analysis import (
 from .errors import InconsistencyError, PartitionFormatError
 from .gf import Field, field_from_literal
 from .lines import (
+    BLOCK_ROWS,
     LinePartition,
     load_partition,
     partition_to_json_dict,
@@ -50,7 +51,6 @@ from .schur import SchurBasis, structure_constants, verify_line_sum_identities, 
     verify_schur_axioms
 
 TABLE_COMMANDS = ("census", "cross-validate")
-TSV_CHUNK_ROWS = 8192  # table rows rendered per step of emit_report
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +62,8 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
 
     JSON accepts any plain document and is byte-stable because keys are
     sorted.  TSV accepts only the two table types; everything else has no
-    sensible column order.  Its rows are rendered ``TSV_CHUNK_ROWS`` at a
-    time into one growing bytearray, which is returned as it is, so the
+    sensible column order.  Its rows are rendered ``lines.BLOCK_ROWS`` at
+    a time into one growing bytearray, which is returned as it is, so the
     report exists once, and never also as a list of lines, one joined
     string or a second copy as bytes.
     """
@@ -86,8 +86,8 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
     out = bytearray(header.encode("utf-8"))
     rows = report.rows
-    for start in range(0, len(rows), TSV_CHUNK_ROWS):
-        out += "".join(map(line, rows[start:start + TSV_CHUNK_ROWS])).encode("utf-8")
+    for start in range(0, len(rows), BLOCK_ROWS):
+        out += "".join(map(line, rows[start:start + BLOCK_ROWS])).encode("utf-8")
     return out
 
 

@@ -43,6 +43,9 @@ from schurcensus.analysis import (
 )
 from schurcensus.perms import PermGroup, automorphism_group
 
+STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
+                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
+
 
 def diag_embed(field, block):
     e = field.e
@@ -432,16 +435,78 @@ def test_cross_validate_scope_filtered_and_workers():
     assert par == seq
 
 
-@pytest.mark.parametrize("p, e", [(5, 1), (2, 2)])
-def test_cross_validate_rows_match_the_direct_oracle(p, e):
-    # one oracle run per PGammaL(2, q)-orbit; 2^2 has a Frobenius generator
+@pytest.mark.parametrize("p, e, stride", [
+    pytest.param(2, 1, 1, id="2-1"),
+    pytest.param(3, 1, 1, id="3-1"),
+    pytest.param(5, 1, 1, id="5-1"),
+    pytest.param(2, 2, 1, id="2-2"),
+    pytest.param(7, 1, 1, id="7-1", marks=[pytest.mark.stretch, STRETCH]),
+    # the direct oracle takes about 9 ms a partition at 64 points, so it
+    # sees every 5th of the 21147 rows of 2^3
+    pytest.param(2, 3, 5, id="2-3", marks=[pytest.mark.stretch, STRETCH]),
+])
+def test_cross_validate_rows_match_the_direct_oracle(p, e, stride):
+    # one oracle run per PGammaL(2, q)-orbit; 2^2 and 2^3 have a Frobenius
+    # generator.  Texts and predictions come from the array in bulk; the
+    # reference builds every partition
     field = make_field(p, e)
     rows = cross_validate(field, workers=1).rows
     partitions = list(enumerate_partitions(field))
     assert [row.partition for row in rows] == [str(pi) for pi in partitions]
-    for row, pi in zip(rows, partitions):
+    assert [row.predicts for row in rows] == [condition_holds(pi) for pi in partitions]
+    assert cross_validate(field, scope="filtered", workers=1).rows == tuple(
+        row for row in rows if row.predicts)
+    for row, pi in zip(rows[::stride], partitions[::stride]):
         direct = schurian_test(SchurBasis.from_partition(pi))
         assert (row.schurian, row.aut_order) == (direct.schurian, direct.aut_order)
+
+
+def test_cross_validate_builds_one_partition_per_orbit(monkeypatch):
+    # rows come from the array in bulk, as in the census: a LinePartition
+    # for each orbit's representative, one more in the in-process worker,
+    # and one condition_holds call on each representative
+    inits, checks = [], []
+    real_condition, real_init = analysis.condition_holds, LinePartition.__init__
+
+    def counting_condition(pi):
+        checks.append(pi)
+        return real_condition(pi)
+
+    def counting_init(self, *args):
+        inits.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(analysis, "condition_holds", counting_condition)
+    monkeypatch.setattr(LinePartition, "__init__", counting_init)
+    for p, e, scope, rows, orbits in ((5, 1, "all", 203, 13),
+                                      (5, 1, "filtered", 4, 2),
+                                      (2, 3, "all", 21147, 49)):
+        inits.clear()
+        checks.clear()
+        assert cross_validate(make_field(p, e), scope=scope, workers=1).total == rows
+        assert (len(inits), len(checks)) == (2 * orbits, orbits)
+
+
+@pytest.mark.parametrize("scope", ["all", "filtered"])
+@pytest.mark.parametrize("row, text", [(0, "0,1,2,3,4,inf"), (-1, "0|1|2|3|4|inf")],
+                         ids=["one-class", "singletons"])
+def test_cross_validate_checks_the_mask_per_orbit(monkeypatch, scope, row, text):
+    # the one-class and the all-singleton partition are each an orbit of
+    # their own, and neither meets the condition: flipping its bit in the
+    # bulk mask contradicts its representative's condition_holds verdict
+    real = analysis.condition_mask
+
+    def flipped(field, rows):
+        mask = real(field, rows)
+        mask[row] = not mask[row]
+        return mask
+
+    monkeypatch.setattr(analysis, "condition_mask", flipped)
+    with pytest.raises(InconsistencyError) as info:
+        cross_validate(make_field(5, 1), scope=scope, workers=1)
+    assert str(info.value) == (
+        f"partition {text}: condition_holds gives False but the condition "
+        f"mask gives True")
 
 
 def test_cross_validate_runs_the_oracle_once_per_orbit(monkeypatch, caplog):

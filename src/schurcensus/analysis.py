@@ -24,7 +24,10 @@ in enumeration order, and evaluates the prediction on every partition.
 Both functions read their rows off ``lines.partition_array`` in bulk,
 texts from ``lines.partition_texts`` and predictions from
 ``lines.condition_mask``; cross-validation groups them by
-``lines.orbit_labels`` and builds only the orbit representatives.
+``lines.orbit_labels`` and builds only the orbit representatives.  The
+tables they return hold columns, one array per field of a row (texts,
+predictions, verdicts, orbit numbers) and |Aut| once per orbit, never a
+Python object per row.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import gc
 import logging
 import math
 import os
@@ -374,58 +376,58 @@ def line_fixing_maps(field: Field) -> Iterator[np.ndarray]:
 # census and cross-validation
 # ---------------------------------------------------------------------------
 
-class CensusRow(NamedTuple):
-    partition: str
-    predicts: bool
+def _same_table(self, other) -> bool:
+    # tuple equality would ask numpy for the truth of an element-wise
+    # comparison; compare the array columns whole instead
+    return type(self) is type(other) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(self, other))
+
+
+def _other_table(self, other) -> bool:
+    return not _same_table(self, other)
 
 
 class Census(NamedTuple):
+    """Row i is the partition ``texts[i]`` (a fixed-width bytes array
+    from ``partition_texts``) with its prediction ``predicts[i]``."""
     field: str
     total: int
     predicted: int
-    rows: tuple[CensusRow, ...]
+    texts: np.ndarray
+    predicts: np.ndarray
+
+    __eq__ = _same_table
+    __ne__ = _other_table
 
 
 def census(field: Field) -> Census:
     """Tabulate the prediction over every partition of the slopes, in
-    enumeration order, read off ``partition_array`` in bulk with no
-    partition built one at a time.  No oracle runs; this is the cheap half
-    of the cross-validation and works for any field under the fixed census
-    cap of 12 slopes (q <= 11)."""
+    enumeration order, read off ``partition_array`` in bulk into two
+    columns, with no partition built one at a time and no Python object
+    per row.  No oracle runs; this is the cheap half of the
+    cross-validation and works for any field under the fixed census cap
+    of 12 slopes (q <= 11)."""
     rgs = partition_array(field)
     predicts = condition_mask(field, rgs)
-    rows = _table_rows(CensusRow, partition_texts(field, rgs), predicts.tolist())
     return Census(
         field=field.literal,
-        total=len(rows),
+        total=len(rgs),
         predicted=int(predicts.sum()),
-        rows=rows,
+        texts=partition_texts(field, rgs),
+        predicts=predicts,
     )
-
-
-def _table_rows(row_type, *columns) -> tuple:
-    # rows close no reference cycle, but the collector cannot untrack a tuple
-    # subclass and would rescan them all: 3/4 of the 11^1 row build time
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return tuple(map(row_type, *columns))
-    finally:
-        if collecting:
-            gc.enable()
-
-
-class CrossRow(NamedTuple):
-    partition: str
-    predicts: bool
-    schurian: bool
-    aut_order: int
 
 
 class CrossValidation(NamedTuple):
     """Counts are tabulated by (prediction, oracle) pair.  The
     predicted_schurian cell stays zero: a run that would put anything
-    there aborts with InconsistencyError instead."""
+    there aborts with InconsistencyError instead.
+
+    Row i is the partition ``texts[i]`` with its prediction
+    ``predicts[i]`` and oracle verdict ``schurian[i]``; it lies in orbit
+    ``orbit[i]``, whose |Aut| is ``aut_orders[orbit[i]]``.  Orbits are
+    numbered in the order of their first row."""
     field: str
     scope: str
     total: int
@@ -433,7 +435,14 @@ class CrossValidation(NamedTuple):
     predicted_schurian: int
     unpredicted_nonschurian: int
     unpredicted_schurian: int
-    rows: tuple[CrossRow, ...]
+    texts: np.ndarray
+    predicts: np.ndarray
+    schurian: np.ndarray
+    orbit: np.ndarray
+    aut_orders: tuple[int, ...]
+
+    __eq__ = _same_table
+    __ne__ = _other_table
 
 
 def _oracle_worker(payload) -> tuple[bool, int, bool]:
@@ -463,7 +472,9 @@ def cross_validate(field: Field, *, scope: str = "all",
     partition in enumeration order, the only one built as a
     ``LinePartition``; its verdict and |Aut| stand for the whole orbit,
     and its ``condition_holds`` verdict must equal its mask bit or the run
-    raises InconsistencyError.  The moment an orbit holding a predicted
+    raises InconsistencyError.  The table holds the rows as columns: the
+    texts, predictions and verdicts as arrays, each row's orbit number,
+    and |Aut| once per orbit.  The moment an orbit holding a predicted
     partition comes back schurian the whole run aborts with
     InconsistencyError, naming the first such partition.  Results are in
     enumeration order whatever the worker count.  A worker that dies
@@ -480,42 +491,47 @@ def cross_validate(field: Field, *, scope: str = "all",
     predicts = condition_mask(field, rgs)
     if scope == "filtered":
         rgs, labels, predicts = rgs[predicts], labels[predicts], predicts[predicts]
+    _, firsts, orbit = np.unique(labels, return_index=True, return_inverse=True)
+    # number the orbits by their first chosen row
+    order = np.argsort(firsts)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order))
+    firsts, orbit = firsts[order], rank[orbit]
     texts = partition_texts(field, rgs)
-    _, firsts, orbit_of = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(firsts)  # the orbits by their first chosen row
     logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
                 field.literal, scope, len(rgs), len(firsts))
 
     payloads = [(field.literal, pi.classes, oracle_cap)
-                for pi in enumerate_partitions(field, rgs[firsts[order]])]
+                for pi in enumerate_partitions(field, rgs[firsts])]
     workers = default_workers() if workers is None else max(1, int(workers))
     workers = min(workers, len(payloads))
     orbit_schurian = np.zeros(len(firsts), dtype=bool)
-    aut_orders = np.zeros(len(firsts), dtype=object)  # rows share these ints
+    aut_orders = []
     # the executor module loads on first use, so runs without a pool
     # never import it
     pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         produced = (pool.map(_oracle_worker, payloads) if pool
                     else map(_oracle_worker, payloads))
-        for k, (found, aut_order, holds) in zip(order.tolist(), produced):
+        for k, (found, aut_order, holds) in enumerate(produced):
             if holds != predicts[firsts[k]]:
                 raise InconsistencyError(
-                    f"partition {texts[firsts[k]]}: condition_holds gives {holds} "
-                    f"but the condition mask gives {not holds}")
-            predicted = np.flatnonzero(predicts & (orbit_of == k)) if found else ()
+                    f"partition {texts[firsts[k]].decode()}: condition_holds gives "
+                    f"{holds} but the condition mask gives {not holds}")
+            predicted = np.flatnonzero(predicts & (orbit == k)) if found else ()
             if len(predicted):
                 raise InconsistencyError(
-                    f"partition {texts[predicted[0]]} is predicted "
+                    f"partition {texts[predicted[0]].decode()} is predicted "
                     f"non-schurian but the oracle finds it schurian")
-            orbit_schurian[k], aut_orders[k] = found, aut_order
+            orbit_schurian[k] = found
+            aut_orders.append(aut_order)
     finally:
         if pool is not None:
             # drop the runs not yet started and join the workers, whose
             # CPU time only then counts in the RUSAGE_CHILDREN of this process
             pool.shutdown(cancel_futures=True)
 
-    schurian = orbit_schurian[orbit_of]
+    schurian = orbit_schurian[orbit]
     return CrossValidation(
         field=field.literal,
         scope=scope,
@@ -524,6 +540,9 @@ def cross_validate(field: Field, *, scope: str = "all",
         predicted_schurian=int((predicts & schurian).sum()),
         unpredicted_nonschurian=int((~predicts & ~schurian).sum()),
         unpredicted_schurian=int((~predicts & schurian).sum()),
-        rows=_table_rows(CrossRow, texts, predicts.tolist(), schurian.tolist(),
-                         aut_orders[orbit_of]),
+        texts=texts,
+        predicts=predicts,
+        schurian=schurian,
+        orbit=orbit,
+        aut_orders=tuple(aut_orders),
     )

@@ -8,9 +8,11 @@ and tabulate the prediction census.
 
 Reports are emitted as canonical bytes so repeated runs diff clean: JSON
 is sorted-key with two-space indent and a trailing newline, TSV has a
-fixed documented column order.  Group orders are serialized as decimal
-strings; they overflow 64-bit integers as early as the rank-2 scheme on
-5^2 points.  Exit status is 0 on success, 1 when a verification claim
+fixed documented column order.  The two tables hold columns, and their
+TSV is rendered from the columns with numpy, a block of rows at a time,
+with no string or tuple built per row; JSON decodes the text column.
+Group orders are serialized as decimal strings; they overflow 64-bit
+integers as early as the rank-2 scheme on 5^2 points.  Exit status is 0 on success, 1 when a verification claim
 fails (a failed axiom check, an inconsistent schurian-test, a
 cross-validation contradiction) or a cross-validate worker process dies,
 and 2 for usage, parse, and sizing problems.
@@ -24,9 +26,13 @@ import sys
 from concurrent.futures import BrokenExecutor
 from typing import Optional
 
+import numpy as np
+
 from .analysis import (
     NO_PREDICTION,
+    NON_SCHURIAN,
     PREDICTS_NONSCHURIAN,
+    SCHURIAN,
     Census,
     CrossValidation,
     analyze_partition,
@@ -62,10 +68,13 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
 
     JSON accepts any plain document and is byte-stable because keys are
     sorted.  TSV accepts only the two table types; everything else has no
-    sensible column order.  Its rows are rendered ``lines.BLOCK_ROWS`` at
-    a time into one growing bytearray, which is returned as it is, so the
-    report exists once, and never also as a list of lines, one joined
-    string or a second copy as bytes.
+    sensible column order.  Its rows are rendered from the table's
+    columns ``lines.BLOCK_ROWS`` at a time: each row is its text bytes
+    followed by one of a few suffixes (the cells after the partition),
+    each rendered once and zero-padded, and dropping the zero bytes
+    leaves the lines back to back.  They go into one growing bytearray,
+    which is returned as it is, so the report exists once, and never
+    also as a list of lines, one joined string or a second copy as bytes.
     """
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
@@ -73,26 +82,42 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, Census):
         header = "partition\tcriterion_verdict\n"
+        suffixes = [f"\t{_verdict(predicts)}\n" for predicts in (False, True)]
 
-        def line(row) -> str:
-            return f"{row.partition}\t{_verdict(row.predicts)}\n"
+        def suffix_of(rows: slice) -> np.ndarray:
+            return report.predicts[rows].astype(np.intp)
     elif isinstance(report, CrossValidation):
         header = "partition\tcriterion_verdict\toracle_verdict\taut_order\n"
+        # one suffix per (orbit, oracle verdict, prediction), so that each
+        # row's cells come from its own columns
+        suffixes = [f"\t{_verdict(predicts)}\t{_oracle(schurian)}\t{aut_order}\n"
+                    for aut_order in report.aut_orders
+                    for schurian in (False, True) for predicts in (False, True)]
 
-        def line(row) -> str:
-            oracle = "schurian" if row.schurian else "non_schurian"
-            return f"{row.partition}\t{_verdict(row.predicts)}\t{oracle}\t{row.aut_order}\n"
+        def suffix_of(rows: slice) -> np.ndarray:
+            return (report.orbit[rows].astype(np.intp) * 4
+                    + report.schurian[rows] * 2 + report.predicts[rows])
     else:
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
+    tails = np.array([text.encode("utf-8") for text in suffixes], dtype=bytes)
+    tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
+    texts = np.ascontiguousarray(report.texts)
     out = bytearray(header.encode("utf-8"))
-    rows = report.rows
-    for start in range(0, len(rows), BLOCK_ROWS):
-        out += "".join(map(line, rows[start:start + BLOCK_ROWS])).encode("utf-8")
+    for start in range(0, len(texts), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block = np.concatenate(
+            (texts[rows].view(np.uint8).reshape(-1, texts.itemsize), tails[suffix_of(rows)]),
+            axis=1)
+        out += memoryview(block[block != 0])
     return out
 
 
 def _verdict(predicts: bool) -> str:
     return PREDICTS_NONSCHURIAN if predicts else NO_PREDICTION
+
+
+def _oracle(schurian: bool) -> str:
+    return SCHURIAN if schurian else NON_SCHURIAN
 
 
 def _provenance(field: Field) -> dict:
@@ -184,6 +209,7 @@ def _cmd_cross_validate(args) -> tuple[bytes, int]:
                            workers=args.workers)
     if args.format == "tsv":
         return emit_report(table, "tsv"), 0
+    aut_orders = [str(aut_order) for aut_order in table.aut_orders]
     doc = dict(_provenance(field),
                scope=table.scope,
                total=table.total,
@@ -191,11 +217,13 @@ def _cmd_cross_validate(args) -> tuple[bytes, int]:
                predicted_schurian=table.predicted_schurian,
                unpredicted_nonschurian=table.unpredicted_nonschurian,
                unpredicted_schurian=table.unpredicted_schurian,
-               rows=[dict(partition=row.partition,
-                          criterion_verdict=_verdict(row.predicts),
-                          oracle_verdict="schurian" if row.schurian else "non_schurian",
-                          aut_order=str(row.aut_order))
-                     for row in table.rows])
+               rows=[dict(partition=text,
+                          criterion_verdict=_verdict(predicts),
+                          oracle_verdict=_oracle(schurian),
+                          aut_order=aut_orders[k])
+                     for text, predicts, schurian, k in zip(
+                         table.texts.astype(str).tolist(), table.predicts.tolist(),
+                         table.schurian.tolist(), table.orbit.tolist())])
     return emit_report(doc), 0
 
 
@@ -207,9 +235,9 @@ def _cmd_census(args) -> tuple[bytes, int]:
     doc = dict(_provenance(field),
                total=table.total,
                predicted_nonschurian=table.predicted,
-               rows=[dict(partition=row.partition,
-                          criterion_verdict=_verdict(row.predicts))
-                     for row in table.rows])
+               rows=[dict(partition=text, criterion_verdict=_verdict(predicts))
+                     for text, predicts in zip(table.texts.astype(str).tolist(),
+                                               table.predicts.tolist())])
     return emit_report(doc), 0
 
 

@@ -17,11 +17,12 @@ A census visits all Bell(q + 1) partitions, so they are held in bulk:
 ``partition_array`` is one int8 array with a restricted growth string
 per partition, in enumeration order, checked once as a whole.
 ``partition_texts`` and ``condition_mask`` give the canonical text and
-the prediction condition of many rows at once, in fixed blocks, and
-``enumerate_partitions`` streams rows as checked ``LinePartition``
-objects for the code that needs them one by one.  ``LinePartition``
-checks its input in one pass and prints from a per-field tuple of slope
-literals.
+the prediction condition of many rows at once, in fixed blocks: the
+texts as one fixed-width bytes array, the condition as one boolean
+array, with no Python object per row.  ``enumerate_partitions`` streams
+rows as checked ``LinePartition`` objects for the code that needs them
+one by one.  ``LinePartition`` checks its input in one pass and prints
+from a per-field tuple of slope literals.
 
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
 slopes and on their partitions.  ``slope_symmetries`` gives generators of
@@ -373,34 +374,46 @@ def _first_occurrence(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def partition_texts(field: Field, rows: np.ndarray) -> list[str]:
-    """The canonical text ``str(LinePartition)`` of each RGS row, built in
-    blocks of ``BLOCK_ROWS`` rows.
+def partition_texts(field: Field, rows: np.ndarray) -> np.ndarray:
+    """The canonical text ``str(LinePartition)`` of each RGS row, as one
+    fixed-width ``S{L}`` bytes array, built in blocks of ``BLOCK_ROWS``
+    rows.  Every slope occurs once in each text, so every text has the
+    same length L.  Decode it with ``texts.astype(str)``.
 
     Sorting the keys class * n + slope lists each row's slopes in text
-    order.  Every slope occurs once, so every text has the same length;
-    each slope's literal is laid out zero-padded behind its separator
-    (``,`` inside a class, ``|`` between classes), and dropping the zero
-    bytes leaves the texts as one fixed-width block."""
+    order.  Each slope then becomes one 4-byte word of ``_text_words``:
+    its separator (none first, ``,`` inside a class, ``|`` between
+    classes) and literal, zero-padded.  Dropping the zero bytes leaves
+    the texts back to back."""
     n = field.q + 1
-    literals = _slope_literals(field)
-    width = max(map(len, literals))
-    length = sum(map(len, literals)) + n - 1
-    table = np.zeros((n, width), dtype=np.uint8)
-    for s, lit in enumerate(literals):
-        table[s, :len(lit)] = np.frombuffer(lit.encode("ascii"), dtype=np.uint8)
+    length = sum(map(len, _slope_literals(field))) + n - 1
+    words = _text_words(field)
     order = np.arange(n, dtype=np.int16)
-    texts: list[str] = []
+    texts = np.empty(len(rows), dtype=f"S{length}")
     for start in range(0, len(rows), BLOCK_ROWS):
         keys = np.sort(rows[start:start + BLOCK_ROWS].astype(np.int16) * n + order, axis=1)
         classes, slopes = np.divmod(keys, n)
-        pieces = np.zeros((len(keys), n, 1 + width), dtype=np.uint8)
-        pieces[:, 1:, 0] = np.where(classes[:, 1:] == classes[:, :-1], ord(","), ord("|"))
-        pieces[:, :, 1:] = table[slopes]
-        flat = pieces.reshape(len(keys), -1)
-        text = flat[flat != 0].reshape(len(keys), length)
-        texts += text.astype(np.uint32).view(f"U{length}").ravel().tolist()
+        # word index: separator * n + slope
+        slopes[:, 1:] += np.where(classes[:, 1:] == classes[:, :-1], n, 2 * n)
+        flat = words[slopes].view(np.uint8)
+        texts[start:start + BLOCK_ROWS] = flat[flat != 0].view(texts.dtype)
     return texts
+
+
+@functools.lru_cache(maxsize=None)
+def _text_words(field: Field) -> np.ndarray:
+    """Separator (none, ``,`` or ``|``) then slope literal, zero-padded to
+    4 bytes, as one uint32 per (separator, slope), separator major.  The
+    longest literal, ``inf``, leaves room for the separator."""
+    n = field.q + 1
+    words = np.zeros((3, n, 4), dtype=np.uint8)
+    for k, separator in enumerate(("", ",", "|")):
+        for s, literal in enumerate(_slope_literals(field)):
+            text = (separator + literal).encode("ascii")
+            words[k, s, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    words = words.view(np.uint32).reshape(3 * n)
+    words.setflags(write=False)
+    return words
 
 
 def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:

@@ -247,13 +247,20 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
     nonnegative, and for nonnegative integers of one width big-endian byte
     order is numeric order, so the byte order of the rows is exactly their
     lexicographic order.
+
+    Colors that are already dense (nonnegative, every label up to the
+    largest present), as the search's own colorings are, are their own
+    ranks and are used as given; any other colors are ranked first.
     """
     ec = graph.edge_colors
     n = graph.n
     if colors is None:
         colors = np.zeros(n, dtype=np.int64)
     else:
-        _, colors = np.unique(np.asarray(colors, dtype=np.int64), return_inverse=True)
+        colors = np.asarray(colors, dtype=np.int64)
+        # max below n first, so that bincount never sees a huge label
+        if not (colors.min() >= 0 and colors.max() < n and np.bincount(colors).all()):
+            _, colors = np.unique(colors, return_inverse=True)
     k = int(colors.max()) + 1
     # edge colors are ranks below n**2 and colors below k <= n, so every
     # entry of the table is nonnegative and below n**3, far from overflow

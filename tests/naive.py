@@ -3,7 +3,8 @@
 Nothing here imports the package under test: polynomial arithmetic works
 on little-endian coefficient tuples, set partitions come from a plain
 recursive generator, group-algebra convolution is a dict double loop, and
-permutation groups are listed element by element by breadth-first closure.
+permutation groups are listed element by element by breadth-first closure,
+and the report tables are rendered one f-string per row.
 """
 
 from itertools import product
@@ -247,3 +248,26 @@ def strong_generators(elements, base):
         out += [picks[gamma] for gamma in sorted(picks)]
         fixing = [e for e in fixing if e[point] == point]
     return out
+
+
+# --- report tables -------------------------------------------------------------
+
+def _criterion(predicts):
+    return "predicts_nonschurian" if predicts else "no_prediction"
+
+
+def census_tsv(rows):
+    """The census TSV report from (partition text, predicted) rows."""
+    lines = ["partition\tcriterion_verdict\n"]
+    lines += [f"{text}\t{_criterion(predicts)}\n" for text, predicts in rows]
+    return "".join(lines).encode("utf-8")
+
+
+def cross_validate_tsv(rows):
+    """The cross-validate TSV report from (partition text, predicted,
+    schurian, |Aut|) rows."""
+    lines = ["partition\tcriterion_verdict\toracle_verdict\taut_order\n"]
+    for text, predicts, schurian, aut_order in rows:
+        oracle = "schurian" if schurian else "non_schurian"
+        lines.append(f"{text}\t{_criterion(predicts)}\t{oracle}\t{aut_order}\n")
+    return "".join(lines).encode("utf-8")

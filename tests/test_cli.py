@@ -7,14 +7,19 @@ import os
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import naive
 from schurcensus import make_field
 from schurcensus.analysis import Census, SchurianReport, cross_validate
 from schurcensus.errors import InconsistencyError
 from schurcensus.lines import LinePartition, load_partition, wielandt_partition
 from schurcensus.schur import SchurBasis, structure_constants
 from schurcensus import analysis, cli
+
+STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
+                             reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
 
 
 def fixture(name):
@@ -142,8 +147,35 @@ def test_cross_validate_q5_json_counts(capsys):
 # ---------------------------------------------------------------------------
 
 def test_emit_report_empty_census_is_header_only():
-    empty = Census(field="5^1", total=0, predicted=0, rows=())
+    empty = Census(field="5^1", total=0, predicted=0,
+                   texts=np.empty(0, dtype="S11"), predicts=np.empty(0, dtype=bool))
     assert cli.emit_report(empty, "tsv") == b"partition\tcriterion_verdict\n"
+
+
+@pytest.mark.parametrize("literal, scope", [
+    *[(f"{p}^{e}", "census") for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                          (2, 3), (3, 2))],
+    *[(f"{p}^{e}", scope) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))
+      for scope in ("all", "filtered")],
+    *[pytest.param(literal, scope, marks=[pytest.mark.stretch, STRETCH])
+      for literal in ("7^1", "2^3") for scope in ("all", "filtered")],
+])
+def test_tsv_matches_the_per_row_reference(literal, scope):
+    # the column renderer against one f-string per row; the filtered
+    # tables of 2^1, 3^1 and 2^2 are empty and give the header alone
+    field = make_field(*map(int, literal.split("^")))
+    if scope == "census":
+        table = analysis.census(field)
+        expected = naive.census_tsv(zip(table.texts.astype(str).tolist(),
+                                        table.predicts.tolist()))
+    else:
+        table = cross_validate(field, scope=scope, workers=1)
+        expected = naive.cross_validate_tsv(zip(
+            table.texts.astype(str).tolist(), table.predicts.tolist(),
+            table.schurian.tolist(), [table.aut_orders[k] for k in table.orbit.tolist()]))
+        if scope == "filtered" and field.q < 5:
+            assert table.total == 0 and expected.count(b"\n") == 1
+    assert cli.emit_report(table, "tsv") == expected
 
 
 def test_emit_report_rejects_unknown_format_and_untabular_reports():

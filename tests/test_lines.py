@@ -290,16 +290,25 @@ def test_enumerate_partitions_streams_the_given_rows():
     assert list(enumerate_partitions(field, rgs[:0])) == []
 
 
+def texts_of(field, rows):
+    """``partition_texts`` decoded, after checking that it is one
+    fixed-width bytes column as long as every text."""
+    texts = partition_texts(field, rows)
+    length = len(str(singleton_partition(field)))
+    assert texts.dtype == np.dtype(f"S{length}") and texts.shape == (len(rows),)
+    return texts.astype(str).tolist()
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_bulk_texts_and_mask_match_each_partition(p, e):
     field = make_field(p, e)
     rgs = partition_array(field)
     partitions = list(enumerate_partitions(field))
-    assert partition_texts(field, rgs) == [str(pi) for pi in partitions]
+    assert texts_of(field, rgs) == [str(pi) for pi in partitions]
     assert condition_mask(field, rgs).tolist() == [condition_holds(pi) for pi in partitions]
     # any subset of rows, in any order, across block boundaries
     picked = np.arange(len(rgs))[::-3]
-    assert partition_texts(field, rgs[picked]) == [str(partitions[i]) for i in picked]
+    assert texts_of(field, rgs[picked]) == [str(partitions[i]) for i in picked]
     assert (condition_mask(field, rgs[picked]).tolist()
             == [condition_holds(partitions[i]) for i in picked])
 
@@ -309,7 +318,7 @@ def test_bulk_texts_and_mask_at_eleven():
     field = make_field(11, 1)
     rgs = partition_array(field)[::997]
     partitions = list(enumerate_partitions(field, rgs))
-    assert partition_texts(field, rgs) == [str(pi) for pi in partitions]
+    assert texts_of(field, rgs) == [str(pi) for pi in partitions]
     assert condition_mask(field, rgs).tolist() == [condition_holds(pi) for pi in partitions]
     assert all("10" in re.split("[,|]", str(pi)) for pi in partitions)
 

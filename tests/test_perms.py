@@ -264,6 +264,20 @@ def test_huge_colors_refine_like_their_ranks():
     assert [g.tolist() for g in a.generators] == [g.tolist() for g in b.generators]
 
 
+def test_colors_that_are_not_dense_are_ranked_first():
+    # dense labels are used as given; labels with a gap, a negative label
+    # or one of n or more are ranked first, and all refine alike
+    rng = np.random.default_rng(20261019)
+    n = 12
+    mat = np.triu(rng.integers(1, 4, size=(n, n)), 1)
+    mat = mat + mat.T
+    dense = rng.integers(0, 3, size=n)
+    dense[:3] = [0, 1, 2]
+    expected = naive.refinement_labels(mat.tolist(), dense.tolist())
+    for colors in (dense, dense * 2, dense - 1, dense + n, np.where(dense == 2, 5, dense)):
+        assert color_refinement(ColorGraph(mat), colors).tolist() == expected
+
+
 def check_labels_along_the_base(mat, colors=None):
     """color_refinement against the reference from its definition, on
     ``colors`` and after individualizing each base point of the search."""

@@ -82,18 +82,18 @@ def cayley_color_graph(basis: SchurBasis) -> ColorGraph:
     return ColorGraph(basis.class_of[differences])
 
 
-def translation_perms(field: Field) -> list[np.ndarray]:
-    """The regular action of V on itself, one permutation per element."""
+def translation_perms(field: Field) -> np.ndarray:
+    """The regular action of V on itself, one row per element."""
     add, _ = group_tables(field)
-    return [add[:, t].astype(np.int32) for t in range(add.shape[0])]
+    return np.ascontiguousarray(add.T, dtype=np.int32)
 
 
-def scalar_perms(field: Field) -> list[np.ndarray]:
-    """The maps (x, y) -> (ax, ay), one per a != 0; they fix every line."""
+def scalar_perms(field: Field) -> np.ndarray:
+    """The maps (x, y) -> (ax, ay), one row per a != 0; they fix every line."""
     mul = field.mul_table()
     x, y = np.divmod(np.arange(field.q ** 2), field.q)
-    return [(mul[a, x] * field.q + mul[a, y]).astype(np.int32)
-            for a in field.units()]
+    units = np.asarray(field.units())[:, None]
+    return (mul[units, x] * field.q + mul[units, y]).astype(np.int32)
 
 
 class OracleReport(NamedTuple):
@@ -115,7 +115,12 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     the machinery itself is broken).  The chain is read straight off the
     search's generators with no closure, so a search that lost a
     generator leaves the group too small, and these guards are the only
-    backstop against it.
+    backstop against it.  Every one of the q^2 translations and q - 1
+    scalar maps is checked, not only generators of their groups: a chain
+    built from a set that is not strong need not be a group, so passing
+    on generators would prove less.  They are stacked into one int32
+    array and sifted together by ``PermGroup.member_mask``; the error
+    names the first map missing, translations first.
     """
     check = verify_schur_axioms(basis)
     if not check.ok:
@@ -129,13 +134,14 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
             f"automorphism group of order {aut_order} is not transitive: "
             f"its stabilizer of 0 has order {stab_order}")
     field = basis.field
-    missing = [f"the translation by point {t}"
-               for t, g in enumerate(translation_perms(field)) if g not in aut]
-    missing += [f"the scalar map by {a}"
-                for a, g in zip(field.units(), scalar_perms(field)) if g not in aut]
-    if missing:
+    guards = np.concatenate((translation_perms(field), scalar_perms(field)))
+    missing = np.flatnonzero(~aut.member_mask(guards))
+    if missing.size:
+        k = int(missing[0])
+        name = (f"the translation by point {k}" if k < field.q ** 2
+                else f"the scalar map by {field.units()[k - field.q ** 2]}")
         raise InconsistencyError(
-            f"automorphism group of order {aut_order} misses {missing[0]}")
+            f"automorphism group of order {aut_order} misses {name}")
     orbits = stab.orbits()
     for orbit in orbits:
         marks = {int(basis.class_of[v]) for v in orbit}

@@ -422,7 +422,7 @@ def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:
     finite slopes is not that of a subfield.  As in ``condition_holds``,
     the class positions reject most rows before the set work."""
     q = field.q
-    subfields = [sum(1 << s for s in sub) for sub in field.subfields()]
+    subfields = np.array([sum(1 << s for s in sub) for sub in field.subfields()])
     bits = np.int64(1) << np.arange(q, dtype=np.int64)
     out = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), BLOCK_ROWS):
@@ -433,7 +433,9 @@ def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:
                   & (block[:, q] > block[:, :q].max(axis=1)))
         hits = block[pinned]
         alone = (hits[:, :, None] == hits[:, None, :]).sum(axis=2) == 1
-        pinned[pinned] = ~np.isin(alone[:, :q] @ bits, subfields)
+        # compared with each subfield mask directly: ``np.isin`` on an
+        # empty block would fall back to ``np.unique`` and import numpy.ma
+        pinned[pinned] = ~((alone[:, :q] @ bits)[:, None] == subfields).any(axis=1)
         out[start:start + BLOCK_ROWS] = pinned
     return out
 

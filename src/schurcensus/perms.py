@@ -22,15 +22,25 @@ that the generators found so far map a tried sibling onto (each of them
 was found at that depth or deeper, so it fixes the base above it).  That
 orbit is kept while the climb crosses a cell: a sibling with no witness
 adds its own orbit, and only a new generator rebuilds it.  The
-witness step looks below each remaining sibling for one leaf matching the
-leftmost one.  The generators found at a depth d or deeper generate the
+witness step looks below each remaining sibling for one automorphism
+sending the leftmost leaf there.  At every node it first guesses: the
+permutation mapping each cell of the path's coloring at that depth onto
+the cell of the same color here, both in index order (one stable argsort
+per path level is kept for it).  The individualized vertices hold the top
+colors in the order they were chosen, so a guess that preserves the edge
+colors fixes base[:d] and sends base[d] to the sibling, exactly as a leaf
+found below would; only when the guess fails does the step branch.  At a
+leaf the guess is the only candidate.  In K_n-like graphs the first guess
+at each sibling succeeds, so the one-class search visits one node per
+sibling.  The generators found at a depth d or deeper generate the
 subgroup fixing base[:d] pointwise (McKay & Piperno, Practical Graph
 Isomorphism II, 2014), so they are a strong generating set along the
 base and the chain is read straight off them.  Every generator passes an
 exhaustive color-preservation check, so the group is never too big; a
 wrongly pruned branch could still leave it too small, which is why
 ``schurian_test`` in ``analysis`` refuses a group that is not
-transitive or misses a translation or a scalar map.
+transitive or misses a translation or a scalar map; it sifts all of
+those maps as one stack through ``PermGroup.member_mask``.
 """
 
 from __future__ import annotations
@@ -163,6 +173,27 @@ class PermGroup:
                 g = compose(trans[beta], g)
         return is_identity(g)
 
+    def member_mask(self, perms) -> np.ndarray:
+        """``perm in self`` for each row of a (k, degree) stack of
+        permutations, as one boolean array.  All rows are sifted at once:
+        at each level every row looks up its transversal element and is
+        composed with it by one ``take_along_axis``.  A row that is not a
+        permutation stays one, so it never sifts to the identity; entries
+        outside 0..degree-1 raise ValueError."""
+        g = np.asarray(perms).reshape(-1, self.degree)
+        if g.dtype.kind not in "iu" or (g.size and not 0 <= g.min() <= g.max() < self.degree):
+            raise ValueError(f"rows must hold points of 0..{self.degree - 1}")
+        g = g.astype(np.int32, copy=False)
+        ok = np.ones(len(g), dtype=bool)
+        for point, trans in zip(self.base, self._trans):
+            where = np.full(self.degree, -1, dtype=np.intp)
+            where[list(trans)] = np.arange(len(trans))
+            found = where[g[:, point]]
+            ok &= found >= 0
+            # rows already out compose with an arbitrary element
+            g = np.take_along_axis(np.stack(list(trans.values()))[found], g, axis=1)
+        return ok & (g == np.arange(self.degree)).all(axis=1)
+
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         gens = self._strong_gens_from(0)
         seen: set[int] = set()
@@ -219,15 +250,18 @@ class ColorGraph:
                 f"edge colors are not symmetric: "
                 f"({u}, {v}) has {int(ec[u, v])} but ({v}, {u}) has {int(ec[v, u])}")
         n = ec.shape[0]
-        diag = set(np.unique(np.diagonal(ec)).tolist())
-        off = ec[~np.eye(n, dtype=bool)]
-        if off.size and diag & set(np.unique(off).tolist()):
-            shared = sorted(diag & set(np.unique(off).tolist()))[0]
-            raise ValueError(f"color {shared} appears both on and off the diagonal")
         # ranking is monotone, so refinement labels do not change, and the
         # stored colors stay below n**2 however large the given ones are
         distinct, ranks = np.unique(ec, return_inverse=True)
-        self.edge_colors = ranks.reshape(n, n).astype(np.int64, copy=False)
+        ranks = ranks.reshape(n, n).astype(np.int64, copy=False)
+        on = np.zeros(len(distinct), dtype=bool)
+        off = np.zeros(len(distinct), dtype=bool)
+        on[np.diagonal(ranks)] = True
+        off[ranks[~np.eye(n, dtype=bool)]] = True
+        if (on & off).any():
+            shared = int(distinct[np.flatnonzero(on & off)[0]])
+            raise ValueError(f"color {shared} appears both on and off the diagonal")
+        self.edge_colors = ranks
         self.n = n
         self.ncolors = len(distinct)
 
@@ -294,23 +328,33 @@ def _target_cell(colors: np.ndarray):
 
 def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> PermGroup:
     """The full automorphism group of an edge-colored graph, with its
-    chain along the base the search individualized."""
+    chain along the base the search individualized.
+
+    Each witness node whose color histogram matches the path's first
+    tries one guess, the cell-by-cell map from the path's coloring at its
+    depth (stably sorted once per level) onto its own, and branches only
+    if that guess fails the exhaustive edge-color check.  The DEBUG record
+    (vertices, nodes, leaf tests, generators, order) counts every node,
+    one refinement each, and every exhaustive check as a leaf test,
+    guesses included."""
     n = graph.n
     if n > cap:
         raise SizingError(
             f"automorphism search on {n} vertices exceeds the cap of {cap}")
     ec = graph.edge_colors
 
-    # descent: the leftmost path, its color histograms and its leaf
+    # descent: the leftmost path, its color histograms and its leaf, with
+    # each level's coloring stably sorted, cell by cell in index order
     path = []  # (coloring, target cell) per level above the leaf
     colors = color_refinement(graph)
     hists = [np.bincount(colors).tobytes()]
+    orders = [np.argsort(colors, kind="stable")]
     while (cell := _target_cell(colors)) is not None:
         path.append((colors, cell))
         colors = _individualized(graph, colors, int(cell[0]))
         hists.append(np.bincount(colors).tobytes())
+        orders.append(np.argsort(colors, kind="stable"))
     base = [int(cell[0]) for _, cell in path]
-    leaf = np.argsort(colors, kind="stable")
     nodes, tests = len(hists), 0
 
     def witness(colors: np.ndarray, depth: int):
@@ -320,12 +364,17 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
         nodes += 1
         if np.bincount(colors).tobytes() != hists[depth]:
             return None
+        # the guess: each cell of the path's coloring at this depth onto
+        # the cell of the same color here, in index order; at a leaf it is
+        # the only candidate
+        tests += 1
+        perm = np.empty(n, dtype=np.int32)
+        perm[orders[depth]] = np.argsort(colors, kind="stable")
+        if np.array_equal(ec[perm[:, None], perm[None, :]], ec):
+            return perm
         cell = _target_cell(colors)
         if cell is None:
-            tests += 1
-            perm = np.empty(n, dtype=np.int32)
-            perm[leaf] = np.argsort(colors, kind="stable")
-            return perm if np.array_equal(ec[perm[:, None], perm[None, :]], ec) else None
+            return None
         for w in cell:
             found = witness(_individualized(graph, colors, int(w)), depth + 1)
             if found is not None:

@@ -11,8 +11,9 @@ when three axioms hold:
   S2  every class is closed under negation,
   S3  every product of two class sums is constant on every class.
 
-One pass over the ordered pairs of classes computes every product of
-class sums; it yields both the S3 witness and the multiplication table.
+One ``bincount`` over the ordered pairs of points, keyed by the pair of
+classes and the sum, computes every product of class sums at once; it
+yields both the S3 witness and the multiplication table.
 ``verify_schur_axioms`` checks the three axioms in that order and reports
 the first witness of each violated one; ``structure_constants`` returns
 the table of the class sums, refusing bases that break S3.
@@ -147,9 +148,9 @@ def structure_constants(basis: SchurBasis) -> np.ndarray:
 
 
 def _check_and_tabulate(basis: SchurBasis) -> tuple[SchurCheck, np.ndarray]:
-    """The axiom check and the structure constants, from one pass over the
-    class pairs.  The pass stops at the first S3 violation, leaving the
-    rest of the table unfilled."""
+    """The axiom check and the structure constants, from one ``bincount``
+    over all pairs of points keyed by (class pair, sum).  The S3 witness
+    is the first violation in (i, j, point) order."""
     field = basis.field
     add, neg = group_tables(field)
     failures: list[str] = []
@@ -170,24 +171,23 @@ def _check_and_tabulate(basis: SchurBasis) -> tuple[SchurCheck, np.ndarray]:
                 f"(-{bad} = {image} lies in class {int(basis.class_of[image])})")
             break
 
-    m = len(basis.blocks)
-    reps = np.array([b[0] for b in basis.blocks], dtype=np.int64)
-    table = np.zeros((m, m, m), dtype=np.int64)
-    for i, j in np.ndindex(m, m):
-        sums = add[np.ix_(np.asarray(basis.blocks[i], dtype=np.intp),
-                          np.asarray(basis.blocks[j], dtype=np.intp))]
-        prod = np.bincount(sums.ravel(), minlength=add.shape[0])
-        table[i, j] = prod[reps]
-        off = np.flatnonzero(prod != table[i, j][basis.class_of])
-        if off.size:
-            k = int(off[0])
-            kcls = int(basis.class_of[k])
-            rep = int(reps[kcls])
-            failures.append(
-                f"S3: class {i} times class {j} takes value {int(prod[k])} "
-                f"at point {k} but {int(prod[rep])} at point {rep}, both "
-                f"in class {kcls}")
-            break
+    # every product of class sums at once: the pair (a, b) adds one to
+    # point add[a, b] of the product of a's class and b's class
+    m, n = len(basis.blocks), add.shape[0]
+    class_of = basis.class_of.astype(np.int64)
+    keys = (class_of[:, None] * m + class_of[None, :]) * n + add
+    prod = np.bincount(keys.ravel(), minlength=m * m * n).reshape(m, m, n)
+    reps = np.array([b[0] for b in basis.blocks], dtype=np.intp)
+    table = prod[:, :, reps]
+    off = np.argwhere(prod != table[:, :, basis.class_of])
+    if off.size:
+        i, j, k = map(int, off[0])
+        kcls = int(basis.class_of[k])
+        rep = int(reps[kcls])
+        failures.append(
+            f"S3: class {i} times class {j} takes value {int(prod[i, j, k])} "
+            f"at point {k} but {int(prod[i, j, rep])} at point {rep}, both "
+            f"in class {kcls}")
 
     return SchurCheck(not failures, tuple(failures)), table
 

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -197,6 +199,8 @@ def test_reports_match_the_recorded_digests(tmp_path):
                        / "references.json").read_text())
     for workload, argv in (
             ("xv-q5", ["cross-validate", "--field", "5^1", "--workers", "1"]),
+            # every one of the 47 orbit |Aut| values of 7^1
+            ("xv-q7", ["cross-validate", "--field", "7^1", "--workers", "1"]),
             ("census-q9", ["census", "--field", "3^2"])):
         path = tmp_path / f"{workload}.tsv"
         assert cli.main(argv + ["--format", "tsv", "--output", str(path)]) == 0
@@ -205,6 +209,26 @@ def test_reports_match_the_recorded_digests(tmp_path):
     filtered = cross_validate(make_field(7, 1), scope="filtered", workers=1)
     digest = hashlib.sha256(cli.emit_report(filtered, "tsv")).hexdigest()
     assert digest == refs["stretch-q7"]["sha256"]
+
+
+def test_reports_leave_numpy_ma_unimported(tmp_path):
+    # np.unique with no index output, and np.isin on an empty array, which
+    # calls it, import numpy.ma: about 14 ms in every fresh process
+    script = "\n".join([
+        "import sys",
+        "from schurcensus import cli",
+        f"assert cli.main(['census', '--field', '3^2', '--format', 'tsv',"
+        f" '--output', {str(tmp_path / 'census.tsv')!r}]) == 0",
+        f"assert cli.main(['cross-validate', '--field', '5^1', '--workers', '1',"
+        f" '--format', 'tsv', '--output', {str(tmp_path / 'xv.tsv')!r}]) == 0",
+        "sys.exit('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "numpy.ma was imported"
 
 
 def test_cross_validate_tsv_is_byte_identical_across_workers(tmp_path):

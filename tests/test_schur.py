@@ -161,6 +161,50 @@ def test_axiom_s3_witness_on_negation_closed_corruption():
     assert "class" in s3[0] and "point" in s3[0]
 
 
+def first_s3_witness(field, blocks):
+    """The S3 witness of the class pairs taken one at a time in (i, j)
+    order, each product counted point by point; None if S3 holds."""
+    q = field.q
+    plus = vector_add(field)
+    blocks = sorted(sorted(b) for b in blocks)
+    class_of = {p: k for k, b in enumerate(blocks) for p in b}
+    for i, j in np.ndindex(len(blocks), len(blocks)):
+        prod = [0] * (q * q)
+        for a in blocks[i]:
+            for b in blocks[j]:
+                x, y = plus(divmod(a, q), divmod(b, q))
+                prod[x * q + y] += 1
+        for k in range(q * q):
+            rep = blocks[class_of[k]][0]
+            if prod[k] != prod[rep]:
+                return (f"S3: class {i} times class {j} takes value {prod[k]} "
+                        f"at point {k} but {prod[rep]} at point {rep}, both "
+                        f"in class {class_of[k]}")
+    return None
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (5, 1)])
+def test_s3_witness_is_the_first_pair_in_order(p, e):
+    # random bases with 0 alone, closed under negation or not: the one
+    # bincount must name the witness the pair-by-pair count finds first
+    field = make_field(p, e)
+    neg = group_tables(field)[1]
+    rng = np.random.default_rng(p * 10 + e)
+    seen = 0
+    for trial in range(40):
+        labels = rng.integers(1, 5, size=field.q ** 2)
+        if trial % 2:
+            labels = np.maximum(labels, labels[neg])  # closed under negation
+        labels[0] = 0
+        blocks = [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+        expect = first_s3_witness(field, blocks)
+        s3 = [f for f in verify_schur_axioms(SchurBasis(field, blocks)).failures
+              if f.startswith("S3")]
+        assert s3 == ([expect] if expect else [])
+        seen += expect is not None
+    assert seen > 0
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ building anew.
 individualization and refinement.  The refinement is a vectorized
 edge-colored analogue of naive vertex classification whose labels are
 canonical, so equal colorings of isomorphic graphs get equal labels; each
-round ranks every vertex's row as one byte key with a 1-D ``np.unique``.  The
-search has three steps.  The descent follows the leftmost path to a
-discrete leaf; the vertices it individualizes are the base.  The climb
+round sorts every vertex's row as one byte key and ranks the sorted rows by
+comparing neighbours, and a round that makes the coloring discrete is the
+last.  The chain levels, the search's climb and ``orbits()`` walk their
+Schreier trees over generators held as Python lists.  The search has three
+steps.  The descent follows the leftmost path to a discrete leaf; the
+vertices it individualizes are the base.  The climb
 goes back over the path's cells, deepest first, and skips every sibling
 that the generators found so far map a tried sibling onto (each of them
 was found at that depth or deeper, so it fixes the base above it).  That
@@ -93,19 +96,30 @@ def as_permutation(n: int, seq) -> np.ndarray:
 # stabilizer chains
 # ---------------------------------------------------------------------------
 
-def _orbit(seeds, gens) -> dict[int, tuple[int, np.ndarray] | None]:
+def _orbit(seeds, gens) -> dict[int, tuple[int, int] | None]:
     """The orbit of ``seeds`` under ``gens`` in breadth-first order, as a
-    Schreier tree: each point maps to the (predecessor, generator) pair
-    that first reached it, and each seed to None."""
-    tree: dict[int, tuple[int, np.ndarray] | None] = dict.fromkeys(seeds)
+    Schreier tree: each point maps to the (predecessor, index into
+    ``gens``) pair that first reached it, and each seed to None.
+
+    ``gens`` holds each generator as a list (``g.tolist()``), converted
+    once by the caller: indexing a list by a Python int is several times
+    cheaper than reading a numpy scalar, and these trees are deep with
+    small layers, so the walk stays in plain Python."""
+    tree: dict[int, tuple[int, int] | None] = dict.fromkeys(seeds)
     queue = list(tree)
+    indexed = list(enumerate(gens))
     for beta in queue:
-        for g in gens:
-            gamma = int(g[beta])
+        for k, g in indexed:
+            gamma = g[beta]
             if gamma not in tree:
-                tree[gamma] = (beta, g)
+                tree[gamma] = (beta, k)
                 queue.append(gamma)
     return tree
+
+
+def _from_level(table: list[list], level: int) -> list:
+    """The entries of the rows of ``table`` from ``level`` on, in level order."""
+    return [x for row in table[level:] for x in row]
 
 
 class PermGroup:
@@ -129,6 +143,10 @@ class PermGroup:
     such permutation is a non-member, and a generator that leaves one
     raises ValueError.  ``generators`` holds the input generators; for a
     point stabilizer, those at levels 1 and deeper.
+
+    Each generator is turned into a list for ``_orbit`` and inverted once;
+    a tree edge (pred, k) at level i then costs one composition with the
+    inverse of the k-th generator from level i on.
     """
 
     def __init__(self, degree: int, generators=(), *, base=None):
@@ -146,17 +164,17 @@ class PermGroup:
             elif not is_identity(g):
                 raise ValueError(
                     f"{self.base} is not a base: a non-identity permutation fixes all of it")
+        self._walks_at = [[g.tolist() for g in gens] for gens in self._gens_at]
+        inverses_at = [[inverse_perm(g) for g in gens] for gens in self._gens_at]
         self._trans: list[dict[int, np.ndarray]] = []
         for i, point in enumerate(self.base):
+            inverses = _from_level(inverses_at, i)
             trans = {point: identity_perm(degree)}
-            for beta, edge in _orbit([point], self._strong_gens_from(i)).items():
+            for beta, edge in _orbit([point], _from_level(self._walks_at, i)).items():
                 if edge is not None:
-                    pred, g = edge
-                    trans[beta] = compose(trans[pred], inverse_perm(g))
+                    pred, k = edge
+                    trans[beta] = compose(trans[pred], inverses[k])
             self._trans.append(trans)
-
-    def _strong_gens_from(self, level: int) -> list[np.ndarray]:
-        return [g for gens in self._gens_at[level:] for g in gens]
 
     # -- queries
 
@@ -195,7 +213,7 @@ class PermGroup:
         return ok & (g == np.arange(self.degree)).all(axis=1)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        gens = self._strong_gens_from(0)
+        gens = _from_level(self._walks_at, 0)
         seen: set[int] = set()
         out = []
         for v in range(self.degree):
@@ -215,8 +233,9 @@ class PermGroup:
         stab = PermGroup.__new__(PermGroup)
         stab.degree, stab.base = self.degree, self.base
         stab._gens_at = [[]] + self._gens_at[1:]
+        stab._walks_at = [[]] + self._walks_at[1:]
         stab._trans = [{0: identity_perm(self.degree)}] + self._trans[1:]
-        stab.generators = tuple(stab._strong_gens_from(1))
+        stab.generators = tuple(_from_level(stab._gens_at, 1))
         return stab
 
     def __repr__(self) -> str:
@@ -277,11 +296,16 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
     the same way, which the search below relies on for pruning.
 
     The row (old color, sorted pair codes) of each vertex is written as
-    big-endian int64 and ranked as one byte string.  The codes are
+    big-endian int64 and sorted as one byte string.  The codes are
     nonnegative, and for nonnegative integers of one width big-endian byte
     order is numeric order, so the byte order of the rows is exactly their
-    lexicographic order.
+    lexicographic order.  The ranks follow from that order: neighbouring
+    sorted rows are compared as native int64 words (byte order does not
+    matter for equality), and the running count of rows that differ from
+    their predecessor is each row's rank.
 
+    ``colors`` must be a 1-D integer array (or list) with one entry per
+    vertex; anything else, bools and floats included, raises ValueError.
     Colors that are already dense (nonnegative, every label up to the
     largest present), as the search's own colorings are, are their own
     ranks and are used as given; any other colors are ranked first.
@@ -291,24 +315,40 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
     if colors is None:
         colors = np.zeros(n, dtype=np.int64)
     else:
-        colors = np.asarray(colors, dtype=np.int64)
+        colors = np.asarray(colors)
+        if colors.dtype.kind not in "iu" or colors.shape != (n,):
+            raise ValueError(
+                f"colors must be a 1-D integer array of length {n}, "
+                f"not {colors.dtype} of shape {colors.shape}")
         # max below n first, so that bincount never sees a huge label
-        if not (colors.min() >= 0 and colors.max() < n and np.bincount(colors).all()):
+        if not (colors.min() >= 0 and colors.max() < n
+                and np.bincount(colors.astype(np.int64, copy=False)).all()):
             _, colors = np.unique(colors, return_inverse=True)
+        colors = colors.astype(np.int64, copy=False)
     k = int(colors.max()) + 1
     # edge colors are ranks below n**2 and colors below k <= n, so every
     # entry of the table is nonnegative and below n**3, far from overflow
     table = np.empty((n, n + 1), dtype=">i8")
     keys = table.view(np.dtype((np.void, table.itemsize * (n + 1)))).reshape(n)
+    words = table.view(np.int64)
+    codes = np.empty((n, n), dtype=np.int64)
+    steps = np.zeros(n, dtype=np.int64)  # the rank of each sorted row; 0 first
     while True:
-        codes = ec * k + colors[None, :]
+        np.multiply(ec, k, out=codes)
+        codes += colors
         codes.sort(axis=1)
         table[:, 0] = colors
         table[:, 1:] = codes
-        _, fresh = np.unique(keys, return_inverse=True)
-        fresh = fresh.astype(np.int64, copy=False)
-        knew = int(fresh.max()) + 1
-        if knew == k:
+        order = keys.argsort()
+        ranked = words[order]
+        steps[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        np.add.accumulate(steps, out=steps)
+        fresh = np.empty(n, dtype=np.int64)
+        fresh[order] = steps
+        knew = int(steps[-1]) + 1
+        # a discrete coloring is stable: the next round would rank the
+        # rows by their distinct old colors alone and change nothing
+        if knew == k or knew == n:
             return fresh
         colors, k = fresh, knew
 
@@ -370,7 +410,7 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
         tests += 1
         perm = np.empty(n, dtype=np.int32)
         perm[orders[depth]] = np.argsort(colors, kind="stable")
-        if np.array_equal(ec[perm[:, None], perm[None, :]], ec):
+        if np.array_equal(ec.take(perm, 0).take(perm, 1), ec):
             return perm
         cell = _target_cell(colors)
         if cell is None:
@@ -383,10 +423,11 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
 
     # climb: one witness per sibling the known generators do not reach
     gens: list[np.ndarray] = []
+    walks: list[list[int]] = []  # the same, as lists for _orbit
     for depth in reversed(range(len(path))):
         colors, cell = path[depth]
         tried = [base[depth]]
-        reached = _orbit(tried, gens)
+        reached = _orbit(tried, walks)
         for w in map(int, cell[1:]):
             if w in reached:
                 continue
@@ -394,10 +435,11 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
             tried.append(w)
             if found is not None:
                 gens.append(found)
-                reached = _orbit(tried, gens)
+                walks.append(found.tolist())
+                reached = _orbit(tried, walks)
             else:
                 # w's orbit is disjoint from the one reached so far
-                reached.update(_orbit([w], gens))
+                reached.update(_orbit([w], walks))
 
     group = PermGroup(n, gens, base=base)
     logger.debug(

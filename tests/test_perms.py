@@ -110,12 +110,16 @@ def closure_orbits(elements, n):
     return tuple(sorted({tuple(sorted({p[x] for p in elements})) for x in range(n)}))
 
 
+def closure_inputs():
+    """Generating pairs on 0..5: a 3-cycle and its inverse, then random."""
+    rng = np.random.default_rng(7)
+    inputs = [[(1, 2, 0, 3, 4, 5), (2, 0, 1, 3, 4, 5)]]
+    return inputs + [[tuple(rng.permutation(6)) for _ in range(2)] for _ in range(8)]
+
+
 def test_order_and_membership_against_closure():
     everything = list(itertools.permutations(range(6)))
-    rng = np.random.default_rng(7)
-    g = (1, 2, 0, 3, 4, 5)
-    inputs = [[g, (2, 0, 1, 3, 4, 5)]]
-    inputs += [[tuple(rng.permutation(6)) for _ in range(2)] for _ in range(8)]
+    inputs = closure_inputs()
     assert len(naive.perm_closure(inputs[0])) == 3
     for gens in inputs:
         closure = naive.perm_closure(gens)
@@ -138,10 +142,7 @@ def test_bulk_sift_matches_membership():
     # the groups of test_order_and_membership_against_closure, sifting
     # every permutation of 0..5 as one stack
     everything = np.array(list(itertools.permutations(range(6))))
-    rng = np.random.default_rng(7)
-    inputs = [[(1, 2, 0, 3, 4, 5), (2, 0, 1, 3, 4, 5)]]
-    inputs += [[tuple(rng.permutation(6)) for _ in range(2)] for _ in range(8)]
-    for gens in inputs:
+    for gens in closure_inputs():
         closure = naive.perm_closure(gens)
         for base in (None, (3, 0, 5, 1, 4, 2)):
             group = PermGroup(6, naive.strong_generators(closure, base or range(6)),
@@ -154,6 +155,43 @@ def test_bulk_sift_matches_membership():
             for bad in ([[0, 1, 2, 3, 4, 6]], [[-6, 1, 2, 3, 4, 5]], [[0.0] * 6]):
                 with pytest.raises(ValueError, match="points of 0..5"):
                     group.member_mask(bad)
+
+
+def check_schreier_trees(group):
+    """Each level's transversal lists its orbit in the breadth-first order
+    of a plain walk over the strong generators from that level on, taken
+    level by level (in input order within a level), and each stored
+    element takes its point back to the level's base point."""
+    base = group.base
+
+    def level(g):
+        return next(j for j, point in enumerate(base) if g[point] != point)
+
+    movers = sorted((g for g in group.generators if not is_identity(g)), key=level)
+    for i, point in enumerate(base):
+        gens = [g for g in movers if level(g) >= i]
+        walk = [point]
+        for beta in walk:
+            for g in gens:
+                if int(g[beta]) not in walk:
+                    walk.append(int(g[beta]))
+        assert list(group._trans[i]) == walk
+        for beta, t in group._trans[i].items():
+            assert int(t[beta]) == point
+
+
+def test_schreier_trees_on_random_strong_sets():
+    for gens in closure_inputs():
+        closure = naive.perm_closure(gens)
+        for base in (None, (3, 0, 5, 1, 4, 2)):
+            strong = naive.strong_generators(closure, base or range(6))
+            strong += strong[:1] + [tuple(range(6))]
+            check_schreier_trees(PermGroup(6, strong, base=base))
+
+
+def test_schreier_trees_of_the_search():
+    for pi in orbit_representatives("5^1"):
+        check_schreier_trees(automorphism_group(cayley_color_graph(SchurBasis.from_partition(pi))))
 
 
 def test_only_the_identity_fixes_the_base():
@@ -239,6 +277,19 @@ def test_color_graph_refuses_non_integer_colors():
     with pytest.raises(ValueError, match="integers"):
         ColorGraph(~np.eye(3, dtype=bool))
     assert ColorGraph(np.array([[0, 1], [1, 0]], dtype=np.uint8)).ncolors == 2
+
+
+@pytest.mark.parametrize("colors", [
+    [0],  # would broadcast
+    [0.5, 0, 0, 1.7],  # would truncate
+    [True, False, False, True],  # would refine as 0/1
+    [],
+    [[0, 0, 1, 1]],
+])
+def test_refinement_refuses_colorings_that_are_not_integer_vectors(colors):
+    graph = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="1-D integer array of length 4"):
+        color_refinement(graph, colors)
 
 
 def test_refinement_on_path():

@@ -71,10 +71,11 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
     sensible column order.  Its rows are rendered from the table's
     columns ``lines.BLOCK_ROWS`` at a time: each row is its text bytes
     followed by one of a few suffixes (the cells after the partition),
-    each rendered once and zero-padded, and dropping the zero bytes
-    leaves the lines back to back.  They go into one growing bytearray,
-    which is returned as it is, so the report exists once, and never
-    also as a list of lines, one joined string or a second copy as bytes.
+    each rendered once and zero-padded, and dropping the zero bytes, in
+    one ``bytes.translate`` per block, leaves the lines back to back.
+    They go into one growing bytearray, which is returned as it is, so
+    the report exists once, and never also as a list of lines, one
+    joined string or a second copy as bytes.
     """
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
@@ -108,7 +109,7 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
         block = np.concatenate(
             (texts[rows].view(np.uint8).reshape(-1, texts.itemsize), tails[suffix_of(rows)]),
             axis=1)
-        out += memoryview(block[block != 0])
+        out += block.tobytes().translate(None, b"\0")
     return out
 
 

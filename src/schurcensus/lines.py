@@ -15,14 +15,23 @@ slopes whose class is a singleton.
 
 A census visits all Bell(q + 1) partitions, so they are held in bulk:
 ``partition_array`` is one int8 array with a restricted growth string
-per partition, in enumeration order, checked once as a whole.
+per partition, in enumeration order, checked once as a whole.  It is
+stored slope-major (column-major): each slope's column is contiguous.
+A row has only q + 1 <= 12 entries, and numpy reduces, accumulates or
+sorts along such a short axis one row at a time, while a pass down a
+contiguous column runs over all rows in one loop.  So the bulk passes
+work column by column: each numpy call runs down whole columns, and
+none sorts or reduces one row at a time.
 ``partition_texts`` and ``condition_mask`` give the canonical text and
 the prediction condition of many rows at once, in fixed blocks: the
 texts as one fixed-width bytes array, the condition as one boolean
-array, with no Python object per row.  ``enumerate_partitions`` streams
-rows as checked ``LinePartition`` objects for the code that needs them
-one by one.  ``LinePartition`` checks its input in one pass and prints
-from a per-field tuple of slope literals.
+array, with no Python object per row.  They take rows in any layout
+and give the same results on each; rows taken out of the array by a
+boolean or index mask come back row-major, and only cost more time per
+row.  ``enumerate_partitions`` streams rows as checked
+``LinePartition`` objects for the code that needs them one by one.
+``LinePartition`` checks its input in one pass and prints from a
+per-field tuple of slope literals.
 
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
 slopes and on their partitions.  ``slope_symmetries`` gives generators of
@@ -309,37 +318,59 @@ def partition_array(field: Field) -> np.ndarray:
     lexicographic order: the one-class partition first, the all-singleton
     partition last.
 
-    The array grows one slope at a time: a row whose classes so far are
-    0..m becomes m + 2 rows, one per class the next slope can join, in
-    order.  Fields with more than ``DEFAULT_CENSUS_CAP`` slopes raise
-    SizingError before any work, and the result is checked in bulk (see
+    The array is slope-major (Fortran order): column s, the class of
+    slope s in every row, is one contiguous run, so the bulk passes over
+    it (the check, the texts, the condition, the orbit images) each walk
+    a few long columns instead of millions of rows of 12 bytes.  It grows
+    one slope at a time, in place: a row whose classes so far are 0..m
+    becomes m + 2 rows, one per class the next slope can join, in order,
+    so each filled column is repeated down its own storage and the new
+    column is written beside them; no second copy of the array is made.
+    Fields with more than ``DEFAULT_CENSUS_CAP`` slopes raise SizingError
+    before any work, and the result is checked in bulk (see
     ``_check_rgs``) before it is returned."""
     n = field.q + 1
     if n > DEFAULT_CENSUS_CAP:
         raise SizingError(
             f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
             f"(Bell numbers grow too fast beyond that)")
-    rgs = np.zeros((1, n), dtype=np.int8)
+    rgs = np.zeros((_bell(n), n), dtype=np.int8, order="F")
     top = np.zeros(1, dtype=np.int8)  # the greatest class of each row so far
     for i in range(1, n):
         counts = top.astype(np.intp) + 2
-        rgs = np.repeat(rgs, counts, axis=0)
+        size = int(counts.sum())
+        for column in rgs.T[1:i]:
+            column[:size] = np.repeat(column[:len(top)], counts)
         top = np.repeat(top, counts)
-        rgs[:, i] = np.arange(len(rgs)) - np.repeat(np.cumsum(counts) - counts, counts)
-        np.maximum(top, rgs[:, i], out=top)
+        new = rgs[:size, i]
+        new[:] = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        np.maximum(top, new, out=top)
     _check_rgs(rgs)
     rgs.setflags(write=False)
     return rgs
 
 
+def _bell(n: int) -> int:
+    """The number of partitions of an n-set, from the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
 def _check_rgs(rgs: np.ndarray) -> None:
     """Raise InconsistencyError unless every row is a restricted growth
     string (column 0 is 0, each entry at most one above every entry
-    before it) and the rows strictly increase, so none repeats."""
-    tops = np.maximum.accumulate(rgs, axis=1)
-    if not ((rgs[:, 0] == 0).all() and (rgs >= 0).all()
-            and (rgs[:, 1:] <= tops[:, :-1] + 1).all()
-            and (np.diff(_codes(rgs)) > 0).all()):
+    before it) and the rows strictly increase, so none repeats.  The
+    growth test walks the columns with a running maximum."""
+    top = np.zeros(len(rgs), dtype=rgs.dtype)  # each row's greatest entry so far
+    ok = bool((rgs[:, 0] == 0).all())
+    for column in rgs.T[1:]:
+        # while every test passed, top is below the column count, so
+        # top + 1 cannot wrap
+        ok = ok and bool((column >= 0).all() and (column <= top + 1).all())
+        np.maximum(top, column, out=top)
+    if not (ok and (np.diff(_codes(rgs)) > 0).all()):
         raise InconsistencyError("the partition array is not a strictly "
                                  "increasing list of restricted growth strings")
 
@@ -380,23 +411,39 @@ def partition_texts(field: Field, rows: np.ndarray) -> np.ndarray:
     rows.  Every slope occurs once in each text, so every text has the
     same length L.  Decode it with ``texts.astype(str)``.
 
-    Sorting the keys class * n + slope lists each row's slopes in text
-    order.  Each slope then becomes one 4-byte word of ``_text_words``:
-    its separator (none first, ``,`` inside a class, ``|`` between
-    classes) and literal, zero-padded.  Dropping the zero bytes leaves
-    the texts back to back."""
+    The text lists the classes in order and each class's slopes in
+    order, so slope s comes after the slopes of earlier classes and the
+    earlier slopes of its own class: its place is the number of slopes t
+    before s with class at most that of s, plus the number after s with
+    a smaller class.  Each pair of columns is compared once, a whole
+    column of rows at a time, so no row is sorted.  Each slope then puts
+    one 4-byte word of ``_text_words`` at its place: its separator (none
+    for slope 0, ``|`` when it opens a class, which a running maximum of
+    the columns shows, ``,`` otherwise) and its literal, zero-padded.
+    Dropping the zero bytes, in one ``bytes.translate`` per block,
+    leaves the texts back to back."""
     n = field.q + 1
     length = sum(map(len, _slope_literals(field))) + n - 1
     words = _text_words(field)
-    order = np.arange(n, dtype=np.int16)
     texts = np.empty(len(rows), dtype=f"S{length}")
     for start in range(0, len(rows), BLOCK_ROWS):
-        keys = np.sort(rows[start:start + BLOCK_ROWS].astype(np.int16) * n + order, axis=1)
-        classes, slopes = np.divmod(keys, n)
-        # word index: separator * n + slope
-        slopes[:, 1:] += np.where(classes[:, 1:] == classes[:, :-1], n, 2 * n)
-        flat = words[slopes].view(np.uint8)
-        texts[start:start + BLOCK_ROWS] = flat[flat != 0].view(texts.dtype)
+        columns = rows[start:start + BLOCK_ROWS].T
+        size = columns.shape[1]
+        place = np.zeros((n, size), dtype=np.int8)
+        for s in range(1, n):
+            before = columns[:s] <= columns[s]
+            place[s] += before.sum(axis=0, dtype=np.int8)
+            place[:s] += ~before
+        out = np.empty((size, n), dtype=np.uint32)
+        flat = out.reshape(-1)
+        at = np.arange(0, size * n, n)
+        flat[at] = words[0]  # slope 0 opens every text
+        top = np.zeros(size, dtype=np.int8)  # the greatest class so far
+        for s in range(1, n):
+            flat[at + place[s]] = np.where(columns[s] > top, words[2 * n + s], words[n + s])
+            np.maximum(top, columns[s], out=top)
+        texts[start:start + size] = np.frombuffer(
+            out.tobytes().translate(None, b"\0"), dtype=texts.dtype)
     return texts
 
 
@@ -420,22 +467,30 @@ def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:
     """``condition_holds`` on each RGS row, as a boolean array: the slopes
     0, 1 and infinity are singletons, and the bit mask of the singleton
     finite slopes is not that of a subfield.  As in ``condition_holds``,
-    the class positions reject most rows before the set work."""
+    the class positions reject most rows before the set work.
+
+    Both tests compare whole columns, a block of rows at a time: the
+    class positions need one compare per column and a maximum across
+    the finite columns, and the singletons of the few rows left come
+    from comparing each of their columns with every other."""
     q = field.q
     subfields = np.array([sum(1 << s for s in sub) for sub in field.subfields()])
     bits = np.int64(1) << np.arange(q, dtype=np.int64)
     out = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        # 0 and 1 alone are the classes 0 and 1 of the RGS, and infinity
-        # alone is a last class no finite slope is in
-        pinned = ((block[:, 1:] != 0).all(axis=1) & (block[:, 2:] != 1).all(axis=1)
-                  & (block[:, q] > block[:, :q].max(axis=1)))
-        hits = block[pinned]
-        alone = (hits[:, :, None] == hits[:, None, :]).sum(axis=2) == 1
+        columns = rows[start:start + BLOCK_ROWS].T
+        # 0 and 1 alone are the classes 0 and 1 of the RGS, so slope 1
+        # opens class 1 and every later slope is in a class above it;
+        # infinity alone is a last class no finite slope is in
+        pinned = columns[1] == 1
+        for column in columns[2:q]:
+            pinned &= column > 1
+        pinned &= columns[q] > columns[:q].max(axis=0)
+        hits = columns[:, pinned]
+        alone = (hits[:, None] == hits[None]).sum(axis=1) == 1
         # compared with each subfield mask directly: ``np.isin`` on an
         # empty block would fall back to ``np.unique`` and import numpy.ma
-        pinned[pinned] = ~((alone[:, :q] @ bits)[:, None] == subfields).any(axis=1)
+        pinned[pinned] = ~((bits @ alone[:q])[:, None] == subfields).any(axis=1)
         out[start:start + BLOCK_ROWS] = pinned
     return out
 
@@ -445,15 +500,18 @@ def orbit_labels(field: Field, rgs: np.ndarray) -> np.ndarray:
     PGammaL(2, q)-orbit: rows with equal labels lie in one orbit, and the
     label is the orbit's first partition in enumeration order.
 
-    ``rgs`` holds RGS rows in increasing order and is closed under the
-    action, as ``partition_array(field)`` is; a missing image raises
-    ValueError.  Each ``slope_symmetries`` generator moves every row at
-    once (the columns permuted, then renumbered by first occurrence) and
-    the images are found by binary search on the row codes.  Each row
-    then takes the least label of its images, with pointer jumping,
-    until the least index is the same on every orbit (each generator has
-    finite order, so its images reach every row of the orbit)."""
+    ``rgs`` holds RGS rows in strictly increasing order and is closed
+    under the action, as ``partition_array(field)`` is; rows out of
+    order, and a missing image, raise ValueError.  Each
+    ``slope_symmetries`` generator moves every row at once (the columns
+    permuted, then renumbered by first occurrence) and the images are
+    found by binary search on the row codes.  Each row then takes the
+    least label of its images, with pointer jumping, until the least
+    index is the same on every orbit (each generator has finite order,
+    so its images reach every row of the orbit)."""
     codes = _codes(rgs)
+    if not (np.diff(codes) > 0).all():
+        raise ValueError("the rows are not in strictly increasing order")
     images = []
     for g in slope_symmetries(field):
         # slope g[s] of the image lies in the class of slope s

@@ -146,7 +146,10 @@ class PermGroup:
 
     Each generator is turned into a list for ``_orbit`` and inverted once;
     a tree edge (pred, k) at level i then costs one composition with the
-    inverse of the k-th generator from level i on.
+    inverse of the k-th generator from level i on.  Each level's
+    transversal is written once into one stacked array, in tree order,
+    beside a point-to-row index for ``member_mask``; the dict values
+    are rows of that stack.
     """
 
     def __init__(self, degree: int, generators=(), *, base=None):
@@ -167,14 +170,21 @@ class PermGroup:
         self._walks_at = [[g.tolist() for g in gens] for gens in self._gens_at]
         inverses_at = [[inverse_perm(g) for g in gens] for gens in self._gens_at]
         self._trans: list[dict[int, np.ndarray]] = []
+        self._stacks: list[tuple[np.ndarray, np.ndarray]] = []
         for i, point in enumerate(self.base):
             inverses = _from_level(inverses_at, i)
-            trans = {point: identity_perm(degree)}
-            for beta, edge in _orbit([point], _from_level(self._walks_at, i)).items():
+            tree = _orbit([point], _from_level(self._walks_at, i))
+            stack = np.empty((len(tree), degree), dtype=np.int32)
+            trans = dict(zip(tree, stack))  # each point's row, filled in tree order
+            trans[point][:] = identity_perm(degree)
+            for beta, edge in tree.items():
                 if edge is not None:
                     pred, k = edge
-                    trans[beta] = compose(trans[pred], inverses[k])
+                    trans[beta][:] = compose(trans[pred], inverses[k])
+            where = np.full(degree, -1, dtype=np.intp)
+            where[list(tree)] = np.arange(len(tree))
             self._trans.append(trans)
+            self._stacks.append((stack, where))
 
     # -- queries
 
@@ -194,22 +204,20 @@ class PermGroup:
     def member_mask(self, perms) -> np.ndarray:
         """``perm in self`` for each row of a (k, degree) stack of
         permutations, as one boolean array.  All rows are sifted at once:
-        at each level every row looks up its transversal element and is
-        composed with it by one ``take_along_axis``.  A row that is not a
-        permutation stays one, so it never sifts to the identity; entries
-        outside 0..degree-1 raise ValueError."""
+        at each level every row looks up its transversal element in the
+        level's stack and is composed with it by one ``take_along_axis``.
+        A row that is not a permutation stays one, so it never sifts to
+        the identity; entries outside 0..degree-1 raise ValueError."""
         g = np.asarray(perms).reshape(-1, self.degree)
         if g.dtype.kind not in "iu" or (g.size and not 0 <= g.min() <= g.max() < self.degree):
             raise ValueError(f"rows must hold points of 0..{self.degree - 1}")
         g = g.astype(np.int32, copy=False)
         ok = np.ones(len(g), dtype=bool)
-        for point, trans in zip(self.base, self._trans):
-            where = np.full(self.degree, -1, dtype=np.intp)
-            where[list(trans)] = np.arange(len(trans))
+        for point, (stack, where) in zip(self.base, self._stacks):
             found = where[g[:, point]]
             ok &= found >= 0
             # rows already out compose with an arbitrary element
-            g = np.take_along_axis(np.stack(list(trans.values()))[found], g, axis=1)
+            g = np.take_along_axis(stack[found], g, axis=1)
         return ok & (g == np.arange(self.degree)).all(axis=1)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -234,7 +242,11 @@ class PermGroup:
         stab.degree, stab.base = self.degree, self.base
         stab._gens_at = [[]] + self._gens_at[1:]
         stab._walks_at = [[]] + self._walks_at[1:]
-        stab._trans = [{0: identity_perm(self.degree)}] + self._trans[1:]
+        stack = identity_perm(self.degree)[None]
+        where = np.full(self.degree, -1, dtype=np.intp)
+        where[0] = 0
+        stab._trans = [{0: stack[0]}] + self._trans[1:]
+        stab._stacks = [(stack, where)] + self._stacks[1:]
         stab.generators = tuple(_from_level(stab._gens_at, 1))
         return stab
 

@@ -211,6 +211,21 @@ def test_reports_match_the_recorded_digests(tmp_path):
     assert digest == refs["stretch-q7"]["sha256"]
 
 
+@pytest.mark.parametrize("literal, rows, digest", [
+    ("7^1", 4140, "7ed2a744798fad563034a3302e01f63c54e6a07453dc67b17c5d76a71dd7f856"),
+    ("2^3", 21147, "1bc7c5314914e78b7db542fd4668dd755d8d82ebde9995b3d249d64f2b3df367"),
+])
+def test_census_tsv_matches_its_recorded_digest(tmp_path, literal, rows, digest):
+    # the census bytes at 7^1 (one block of rows) and 2^3 (three blocks),
+    # recorded before the partition array went slope-major
+    path = tmp_path / "census.tsv"
+    assert cli.main(["census", "--field", literal, "--format", "tsv",
+                     "--output", str(path)]) == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == rows + 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_reports_leave_numpy_ma_unimported(tmp_path):
     # np.unique with no index output, and np.isin on an empty array, which
     # calls it, import numpy.ma: about 14 ms in every fresh process

@@ -246,6 +246,8 @@ def test_partition_array_is_the_reference_order():
                     row[s] = c
             expected.append(row)
         assert rgs.tolist() == expected
+        # slope-major: each slope's column is one contiguous run
+        assert rgs.flags.f_contiguous and not rgs.flags.c_contiguous
         # cached per field, and read-only
         assert partition_array(field) is rgs
         with pytest.raises(ValueError, match="read-only"):
@@ -260,22 +262,26 @@ def test_partition_array_is_the_reference_order():
     lambda rgs: np.where(np.arange(len(rgs))[:, None] == 7, 0, rgs)[:-1],  # a row lost, one repeated
 ], ids=["swapped", "repeated", "overwritten"])
 def test_a_corrupted_partition_array_trips_the_bulk_check(corrupt):
-    rgs = partition_array(make_field(5, 1))
-    lines._check_rgs(rgs)
-    with pytest.raises(InconsistencyError, match="restricted growth"):
-        lines._check_rgs(corrupt(rgs))
+    for order in "FC":  # slope-major, as partition_array holds it, and row-major
+        rgs = np.array(partition_array(make_field(5, 1)), order=order)
+        lines._check_rgs(rgs)
+        with pytest.raises(InconsistencyError, match="restricted growth"):
+            lines._check_rgs(np.array(corrupt(rgs), order=order))
 
 
 @pytest.mark.parametrize("row, column, value", [
     (5, 0, 1),     # column 0 is not 0
     (5, 3, 4),     # more than one above the prefix maximum
     (202, 5, -1),  # negative
+    (52, 5, -1),   # negative, with the row codes still increasing
+    (202, 5, 127),  # the largest int8, far above the prefix maximum
 ])
 def test_a_bad_entry_trips_the_bulk_check(row, column, value):
-    rgs = partition_array(make_field(5, 1)).copy()
-    rgs[row, column] = value
-    with pytest.raises(InconsistencyError, match="restricted growth"):
-        lines._check_rgs(rgs)
+    for order in "FC":  # slope-major, as partition_array holds it, and row-major
+        rgs = np.array(partition_array(make_field(5, 1)), order=order)
+        rgs[row, column] = value
+        with pytest.raises(InconsistencyError, match="restricted growth"):
+            lines._check_rgs(rgs)
 
 
 def test_enumerate_partitions_streams_the_given_rows():
@@ -321,6 +327,64 @@ def test_bulk_texts_and_mask_at_eleven():
     assert texts_of(field, rgs) == [str(pi) for pi in partitions]
     assert condition_mask(field, rgs).tolist() == [condition_holds(pi) for pi in partitions]
     assert all("10" in re.split("[,|]", str(pi)) for pi in partitions)
+
+
+def row_selections(rgs):
+    """The rows of ``rgs`` in other memory layouts and as subsets, each
+    with the indices of its rows in ``rgs``: the row-major copy, and
+    reversed, strided and fancy-indexed rows of either layout."""
+    every = np.arange(len(rgs))
+    shuffled = np.random.default_rng(0).permutation(len(rgs))[:len(rgs) // 2 + 1]
+    row_major = np.ascontiguousarray(rgs)
+    return {
+        "slope-major": (rgs, every),
+        "row-major": (row_major, every),
+        "reversed": (rgs[::-1], every[::-1]),
+        "row-major reversed": (row_major[::-1], every[::-1]),
+        "strided": (rgs[1::3], every[1::3]),
+        "row-major strided": (row_major[2::5], every[2::5]),
+        "fancy": (rgs[shuffled], shuffled),
+        "fancy slope-major": (np.asfortranarray(rgs[shuffled]), shuffled),
+        "increasing fancy": (rgs[np.sort(shuffled)], np.sort(shuffled)),
+    }
+
+
+@pytest.mark.parametrize("p, e", [
+    *SMALL_QS,
+    # the only field whose literals include "10"; every 997th row
+    (11, 1),
+])
+def test_bulk_functions_agree_on_every_layout(p, e):
+    field = make_field(p, e)
+    rgs = partition_array(field)
+    if field.q == 11:
+        rgs = rgs[::997]
+    codes = lines._codes(rgs)
+    texts = partition_texts(field, rgs)
+    mask = condition_mask(field, rgs)
+    for name, (rows, index) in row_selections(rgs).items():
+        assert (lines._codes(rows) == codes[index]).all(), name
+        assert (partition_texts(field, rows) == texts[index]).all(), name
+        assert (condition_mask(field, rows) == mask[index]).all(), name
+        if (np.diff(index) > 0).all():
+            lines._check_rgs(rows)
+        else:
+            with pytest.raises(InconsistencyError, match="restricted growth"):
+                lines._check_rgs(rows)
+
+
+@pytest.mark.parametrize("field", fields(), ids=str)
+def test_orbit_labels_agree_on_every_layout(field):
+    rgs = partition_array(field)
+    labels = orbit_labels(field, rgs)
+    assert (orbit_labels(field, np.ascontiguousarray(rgs)) == labels).all()
+    # the orbits with an even first row, a union of orbits, so closed
+    kept = np.flatnonzero(labels % 2 == 0)
+    relabelled = np.searchsorted(kept, labels[kept])
+    for rows in (rgs[kept], np.asfortranarray(rgs[kept])):
+        assert (orbit_labels(field, rows) == relabelled).all()
+    with pytest.raises(ValueError, match="increasing order"):
+        orbit_labels(field, rgs[kept][::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +521,9 @@ def test_orbit_labels_need_rows_closed_under_the_action():
     assert orbit_labels(field, rgs[1:-1]).tolist() == (orbit_labels(field, rgs)[1:-1] - 1).tolist()
     with pytest.raises(ValueError, match="not closed"):
         orbit_labels(field, np.delete(rgs, 5, axis=0))
+    # closed, but out of order: named as such, not as a missing image
+    with pytest.raises(ValueError, match="not in strictly increasing order"):
+        orbit_labels(field, rgs[::-1])
 
 
 # ---------------------------------------------------------------------------

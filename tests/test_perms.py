@@ -236,6 +236,9 @@ def test_point_stabilizer_matches_closure():
             assert stab.orbits() == closure_orbits(fixing, 6)
             for p in everything:
                 assert (p in stab) == (p in fixing)
+            # the bulk sift through the shared levels and the trivial first one
+            assert (stab.member_mask(everything).tolist()
+                    == [p in fixing for p in everything])
     assert PermGroup(5, [[1, 2, 3, 4, 0]]).point_stabilizer().order() == 1
 
 

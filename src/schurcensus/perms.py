@@ -4,11 +4,12 @@ Permutations on n points live as numpy index arrays: p[x] is the image of
 x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
 stabilizer chain along an explicit base (0, 1, ..., n-1 unless given),
 built from a strong generating set by one orbit per level with no
-Schreier-Sims closure, which gives exact orders as big integers and fast
-membership sifting.  When the base starts at 0, the levels below level 0
-are already a chain for the stabilizer of 0, the only stabilizer the
-schurian oracle needs, so ``point_stabilizer()`` shares them instead of
-building anew.
+Schreier-Sims closure, as one record per level: the level's generators
+and its transversal, stacked once.  That gives exact orders as big
+integers and one bulk sift, which ``in`` runs on a single row.  When the
+base starts at 0, the levels below level 0 are already a chain for the
+stabilizer of 0, the only stabilizer the schurian oracle needs, so
+``point_stabilizer()`` shares their records instead of building anew.
 
 ``automorphism_group`` finds the automorphisms of a ``ColorGraph`` by
 individualization and refinement.  The refinement is a vectorized
@@ -23,8 +24,10 @@ vertices it individualizes are the base.  The climb
 goes back over the path's cells, deepest first, and skips every sibling
 that the generators found so far map a tried sibling onto (each of them
 was found at that depth or deeper, so it fixes the base above it).  That
-orbit is kept while the climb crosses a cell: a sibling with no witness
-adds its own orbit, and only a new generator rebuilds it.  The
+orbit is kept while the climb crosses a cell.  It starts as the cell's
+first vertex alone, since every generator found before the cell was found
+deeper and fixes it; a sibling with no witness adds its own orbit, and
+only a new generator rebuilds it from the siblings reached.  The
 witness step looks below each remaining sibling for one automorphism
 sending the leftmost leaf there.  At every node it first guesses: the
 permutation mapping each cell of the path's coloring at that depth onto
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +121,38 @@ def _orbit(seeds, gens) -> dict[int, tuple[int, int] | None]:
     return tree
 
 
+class _Level(NamedTuple):
+    """One level of a stabilizer chain: the generators whose first moved
+    base point is this level's, as arrays and as lists for ``_orbit``;
+    the inverted transversal stacked in Schreier-tree order; and each
+    point's row in that stack, -1 off the orbit."""
+    gens: list[np.ndarray]
+    walks: list[list[int]]
+    stack: np.ndarray
+    where: np.ndarray
+
+
 def _from_level(table: list[list], level: int) -> list:
     """The entries of the rows of ``table`` from ``level`` on, in level order."""
     return [x for row in table[level:] for x in row]
+
+
+def _transversal(degree: int, point: int, gens, walks) -> tuple[np.ndarray, np.ndarray]:
+    """The inverted transversal of the orbit of ``point`` under ``gens``
+    (``walks`` holds them as lists), stacked in Schreier-tree order, and
+    each point's row in that stack.  A tree edge (pred, k) sets row beta
+    to row pred composed with the inverse of the k-th generator, written
+    as one scatter through that generator, so nothing is inverted."""
+    tree = _orbit([point], walks)
+    where = np.full(degree, -1, dtype=np.intp)
+    where[list(tree)] = np.arange(len(tree))
+    stack = np.empty((len(tree), degree), dtype=np.int32)
+    stack[0] = identity_perm(degree)
+    for row, edge in enumerate(tree.values()):
+        if edge is not None:
+            pred, k = edge
+            stack[row][gens[k]] = stack[where[pred]]
+    return stack, where
 
 
 class PermGroup:
@@ -144,12 +177,12 @@ class PermGroup:
     raises ValueError.  ``generators`` holds the input generators; for a
     point stabilizer, those at levels 1 and deeper.
 
-    Each generator is turned into a list for ``_orbit`` and inverted once;
-    a tree edge (pred, k) at level i then costs one composition with the
-    inverse of the k-th generator from level i on.  Each level's
-    transversal is written once into one stacked array, in tree order,
-    beside a point-to-row index for ``member_mask``; the dict values
-    are rows of that stack.
+    The chain is one ``_Level`` record per base point: the level's own
+    generators, as arrays and as lists converted once for ``_orbit``, its
+    transversal written once into one stacked int32 array in tree order,
+    and a point-to-row index beside it.  The order is the product of the
+    stack lengths, and membership is the bulk sift ``member_mask`` on one
+    row.
     """
 
     def __init__(self, degree: int, generators=(), *, base=None):
@@ -158,70 +191,59 @@ class PermGroup:
         if len(set(self.base) & set(range(degree))) != len(self.base):
             raise ValueError(f"base {base!r} repeats a point or leaves 0..{degree - 1}")
         self.generators = tuple(as_permutation(degree, g) for g in generators)
-        self._gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
+        gens_at: list[list[np.ndarray]] = [[] for _ in self.base]
         points = list(self.base)
         for g in self.generators:
             moved = np.flatnonzero(g[points] != points)
             if moved.size:
-                self._gens_at[moved[0]].append(g)
+                gens_at[moved[0]].append(g)
             elif not is_identity(g):
                 raise ValueError(
                     f"{self.base} is not a base: a non-identity permutation fixes all of it")
-        self._walks_at = [[g.tolist() for g in gens] for gens in self._gens_at]
-        inverses_at = [[inverse_perm(g) for g in gens] for gens in self._gens_at]
-        self._trans: list[dict[int, np.ndarray]] = []
-        self._stacks: list[tuple[np.ndarray, np.ndarray]] = []
-        for i, point in enumerate(self.base):
-            inverses = _from_level(inverses_at, i)
-            tree = _orbit([point], _from_level(self._walks_at, i))
-            stack = np.empty((len(tree), degree), dtype=np.int32)
-            trans = dict(zip(tree, stack))  # each point's row, filled in tree order
-            trans[point][:] = identity_perm(degree)
-            for beta, edge in tree.items():
-                if edge is not None:
-                    pred, k = edge
-                    trans[beta][:] = compose(trans[pred], inverses[k])
-            where = np.full(degree, -1, dtype=np.intp)
-            where[list(tree)] = np.arange(len(tree))
-            self._trans.append(trans)
-            self._stacks.append((stack, where))
+        walks_at = [[g.tolist() for g in gens] for gens in gens_at]
+        self._levels = [
+            _Level(gens_at[i], walks_at[i],
+                   *_transversal(degree, point, _from_level(gens_at, i), _from_level(walks_at, i)))
+            for i, point in enumerate(self.base)]
 
     # -- queries
 
     def order(self) -> int:
-        return math.prod(map(len, self._trans))
+        return math.prod(len(level.stack) for level in self._levels)
 
     def __contains__(self, perm) -> bool:
-        g = as_permutation(self.degree, perm)
-        for point, trans in zip(self.base, self._trans):
-            beta = int(g[point])
-            if beta != point:
-                if beta not in trans:
-                    return False
-                g = compose(trans[beta], g)
-        return is_identity(g)
+        return bool(self.member_mask(as_permutation(self.degree, perm)[None])[0])
 
     def member_mask(self, perms) -> np.ndarray:
         """``perm in self`` for each row of a (k, degree) stack of
         permutations, as one boolean array.  All rows are sifted at once:
         at each level every row looks up its transversal element in the
-        level's stack and is composed with it by one ``take_along_axis``.
-        A row that is not a permutation stays one, so it never sifts to
-        the identity; entries outside 0..degree-1 raise ValueError."""
-        g = np.asarray(perms).reshape(-1, self.degree)
-        if g.dtype.kind not in "iu" or (g.size and not 0 <= g.min() <= g.max() < self.degree):
-            raise ValueError(f"rows must hold points of 0..{self.degree - 1}")
+        level's stack and is composed with it by one fancy index.
+
+        No row is dropped on the way.  A row whose image of base[i] is
+        off the orbit of level i reads the stack's last row, which, like
+        every row but that point's own, moves the image off base[i];
+        every deeper level fixes base[i], so the row never sifts to the
+        identity.  A row that is not a permutation stays one, so it never
+        sifts to the identity either.  Anything but a (k, degree) integer
+        stack, or an entry outside 0..degree-1, raises ValueError: a row
+        of another length is never split or joined into rows of this
+        one."""
+        n = self.degree
+        g = np.asarray(perms)
+        if (g.ndim != 2 or g.shape[1] != n or g.dtype.kind not in "iu"
+                or (g.size and not 0 <= g.min() <= g.max() < n)):
+            raise ValueError(
+                f"not a (k, {n}) stack of rows holding points of 0..{n - 1}: "
+                f"{g.dtype} of shape {g.shape}")
         g = g.astype(np.int32, copy=False)
-        ok = np.ones(len(g), dtype=bool)
-        for point, (stack, where) in zip(self.base, self._stacks):
-            found = where[g[:, point]]
-            ok &= found >= 0
-            # rows already out compose with an arbitrary element
-            g = np.take_along_axis(stack[found], g, axis=1)
-        return ok & (g == np.arange(self.degree)).all(axis=1)
+        for point, level in zip(self.base, self._levels):
+            found = level.where[g[:, point]]  # -1 off the orbit: any row not its own
+            g = level.stack[found[:, None], g]
+        return (g == np.arange(n)).all(axis=1)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        gens = _from_level(self._walks_at, 0)
+        gens = [w for level in self._levels for w in level.walks]
         seen: set[int] = set()
         out = []
         for v in range(self.degree):
@@ -234,20 +256,14 @@ class PermGroup:
     def point_stabilizer(self) -> "PermGroup":
         """The subgroup fixing 0, which must be the first base point.
 
-        The chain levels >= 1 already form a chain for it, so they are
-        shared and level 0 is left trivial."""
+        The chain levels >= 1 already form a chain for it, so their
+        records are shared and level 0 becomes the trivial level of 0."""
         if self.base[:1] != (0,):
             raise ValueError(f"point 0 is not the first point of the base {self.base}")
         stab = PermGroup.__new__(PermGroup)
         stab.degree, stab.base = self.degree, self.base
-        stab._gens_at = [[]] + self._gens_at[1:]
-        stab._walks_at = [[]] + self._walks_at[1:]
-        stack = identity_perm(self.degree)[None]
-        where = np.full(self.degree, -1, dtype=np.intp)
-        where[0] = 0
-        stab._trans = [{0: stack[0]}] + self._trans[1:]
-        stab._stacks = [(stack, where)] + self._stacks[1:]
-        stab.generators = tuple(_from_level(stab._gens_at, 1))
+        stab._levels = [_Level([], [], *_transversal(self.degree, 0, [], []))] + self._levels[1:]
+        stab.generators = tuple(g for level in self._levels[1:] for g in level.gens)
         return stab
 
     def __repr__(self) -> str:
@@ -438,17 +454,16 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
     walks: list[list[int]] = []  # the same, as lists for _orbit
     for depth in reversed(range(len(path))):
         colors, cell = path[depth]
-        tried = [base[depth]]
-        reached = _orbit(tried, walks)
+        # every generator so far was found deeper and fixes base[depth]
+        reached = dict.fromkeys([base[depth]])
         for w in map(int, cell[1:]):
             if w in reached:
                 continue
             found = witness(_individualized(graph, colors, w), depth + 1)
-            tried.append(w)
             if found is not None:
                 gens.append(found)
                 walks.append(found.tolist())
-                reached = _orbit(tried, walks)
+                reached = _orbit(reached, walks)
             else:
                 # w's orbit is disjoint from the one reached so far
                 reached.update(_orbit([w], walks))

@@ -148,13 +148,43 @@ def test_bulk_sift_matches_membership():
             group = PermGroup(6, naive.strong_generators(closure, base or range(6)),
                               base=base)
             mask = group.member_mask(everything)
-            assert mask.tolist() == [p in group for p in everything]
+            assert mask.tolist() == [tuple(p) in closure for p in everything]
             assert mask.sum() == len(closure)
             # a repeated point never sifts to the identity
             assert not group.member_mask([[0, 0, 2, 3, 4, 5]]).any()
             for bad in ([[0, 1, 2, 3, 4, 6]], [[-6, 1, 2, 3, 4, 5]], [[0.0] * 6]):
                 with pytest.raises(ValueError, match="points of 0..5"):
                     group.member_mask(bad)
+
+
+def test_bulk_sift_on_a_set_that_is_not_strong():
+    # two generators that both move 0 sit at level 0, so the chain is the
+    # orbit of 0 alone while they generate more: the sift accepts exactly
+    # the products of the levels' inverted transversals, in level order,
+    # and a member of the generated group that leaves an orbit stays out
+    everything = np.array(list(itertools.permutations(range(6))))
+    smaller = 0
+    for gens in closure_inputs():
+        group = PermGroup(6, gens)
+        products = [identity_perm(6)]
+        for level in group._levels:
+            products = [compose(p, inverse_perm(t)) for p in products for t in level.stack]
+        chain = {tuple(p) for p in products}
+        assert len(chain) == group.order()
+        assert group.member_mask(everything).tolist() == [tuple(p) in chain for p in everything]
+        smaller += len(chain) < len(naive.perm_closure(gens))
+    assert smaller == 8
+
+
+def test_bulk_sift_takes_only_a_stack_of_full_rows():
+    # a row of length 2 * degree is not two rows, and a short row or a
+    # bare permutation is not a stack: each raises the same ValueError
+    group = PermGroup(3, [[1, 2, 0]])
+    for bad in ([[0, 1, 2, 0, 1, 2]], [[0, 1]], [0, 1, 2], [], [[[0, 1, 2]]]):
+        with pytest.raises(ValueError, match=r"not a \(k, 3\) stack"):
+            group.member_mask(bad)
+    assert group.member_mask(np.empty((0, 3), dtype=int)).tolist() == []
+    assert group.member_mask([[1, 2, 0], [1, 0, 2]]).tolist() == [True, False]
 
 
 def check_schreier_trees(group):
@@ -175,9 +205,13 @@ def check_schreier_trees(group):
             for g in gens:
                 if int(g[beta]) not in walk:
                     walk.append(int(g[beta]))
-        assert list(group._trans[i]) == walk
-        for beta, t in group._trans[i].items():
-            assert int(t[beta]) == point
+        rows = group._levels[i].where  # orbit point -> its row in the stack
+        orbit = np.flatnonzero(rows >= 0)
+        assert orbit[np.argsort(rows[orbit])].tolist() == walk
+        stack = group._levels[i].stack
+        assert len(stack) == len(walk)
+        for beta in walk:
+            assert int(stack[rows[beta]][beta]) == point
 
 
 def test_schreier_trees_on_random_strong_sets():
@@ -508,11 +542,13 @@ def test_search_hands_over_a_strong_generating_set(literal):
         for i, point in enumerate(base):
             gens = [g for g in group.generators if (g[list(base[:i])] == base[:i]).all()]
             deeper = PermGroup(n, [g for g in gens if g[point] == point], base=base[i + 1:])
-            trans = group._trans[i]  # orbit point -> member taking it to base[i]
-            for beta, t in trans.items():
-                u = inverse_perm(t)
-                for g in gens:
-                    assert compose(trans[int(g[beta])], compose(g, u)) in deeper
+            level = group._levels[i]
+            trans = level.stack[level.where]  # point -> member taking it to base[i]
+            orbit = np.flatnonzero(level.where >= 0)
+            for g in gens:
+                schreier = [compose(trans[g[beta]], compose(g, inverse_perm(trans[beta])))
+                            for beta in orbit]
+                assert deeper.member_mask(np.array(schreier)).all()
 
 
 @pytest.mark.parametrize("make,base_length", [
@@ -540,12 +576,14 @@ def test_each_level_is_closed_once(monkeypatch, make, base_length):
 
 
 @pytest.mark.parametrize("make, orbit_calls", [
-    (one_class_partition, 72),  # 24 chain levels, 24 cells climbed, 24 generators
-    (wielandt_partition, 11),
+    (one_class_partition, 48),  # 24 chain levels, 24 generators
+    (wielandt_partition, 9),
 ])
 def test_the_climb_keeps_its_orbit(monkeypatch, make, orbit_calls):
-    # the climb rebuilds the orbit of the tried siblings only when a
-    # generator is found, and grows it by one sibling's orbit otherwise
+    # each cell's orbit starts as its first vertex, since every generator
+    # found so far fixes it; the climb rebuilds the orbit of the siblings
+    # reached only when a generator is found, and grows it by one
+    # sibling's orbit otherwise
     calls = []
     orbit = perms._orbit
 

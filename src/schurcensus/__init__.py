@@ -1,7 +1,21 @@
 """Schur rings over rank-2 elementary abelian groups, built from
 partitions of the line set of F_q x F_q, plus a census machinery that
 cross-validates a non-schurianness criterion against an exact
-automorphism-group oracle."""
+automorphism-group oracle.  Importing it first caps BLAS at one thread,
+unless the environment already sets OPENBLAS_NUM_THREADS or
+MKL_NUM_THREADS."""
+
+import os
+import sys
+
+# Every matrix product here is on integer arrays, which numpy multiplies
+# with its own loops, never BLAS, and the parallel runs come from the
+# process pool of cross_validate: a BLAS thread pool would only spin.  The
+# variables are read once, when numpy loads, so a process that imported it
+# first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .errors import InconsistencyError, PartitionFormatError, SizingError
 from .gf import Field, field_from_literal, make_field, parse_field_literal

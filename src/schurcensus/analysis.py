@@ -42,6 +42,7 @@ import concurrent.futures
 import functools
 import logging
 import math
+import numbers
 import os
 from typing import Iterator, NamedTuple, Optional
 
@@ -483,11 +484,17 @@ def cross_validate(field: Field, *, scope: str = "all",
     and |Aut| once per orbit.  The moment an orbit holding a predicted
     partition comes back schurian the whole run aborts with
     InconsistencyError, naming the first such partition.  Results are in
-    enumeration order whatever the worker count.  A worker that dies
-    raises concurrent.futures.process.BrokenProcessPool.
+    enumeration order whatever the worker count.  ``workers`` None means
+    ``default_workers()``; anything but an integer of at least 1 (a bool
+    included) raises ValueError before any pool starts.  A worker that
+    dies raises concurrent.futures.process.BrokenProcessPool.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
+    if workers is None:
+        workers = default_workers()
+    elif isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, not {workers!r}")
     if field.q ** 2 > oracle_cap:
         raise SizingError(
             f"{field} needs the oracle on {field.q ** 2} points, above the "
@@ -509,7 +516,6 @@ def cross_validate(field: Field, *, scope: str = "all",
 
     payloads = [(field.literal, pi.classes, oracle_cap)
                 for pi in enumerate_partitions(field, rgs[firsts])]
-    workers = default_workers() if workers is None else max(1, int(workers))
     workers = min(workers, len(payloads))
     orbit_schurian = np.zeros(len(firsts), dtype=bool)
     aut_orders = []

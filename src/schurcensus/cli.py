@@ -71,8 +71,10 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
     sensible column order.  Its rows are rendered from the table's
     columns ``lines.BLOCK_ROWS`` at a time: each row is its text bytes
     followed by one of a few suffixes (the cells after the partition),
-    each rendered once and zero-padded, and dropping the zero bytes, in
-    one ``bytes.translate`` per block, leaves the lines back to back.
+    each rendered once and zero-padded.  A block is one ``np.take`` of
+    whole rows, suffixes included, with the texts written into it, and
+    dropping the zero bytes, in one ``bytes.translate`` per block, leaves
+    the lines back to back.
     They go into one growing bytearray, which is returned as it is, so
     the report exists once, and never also as a list of lines, one
     joined string or a second copy as bytes.
@@ -100,15 +102,17 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
                     + report.schurian[rows] * 2 + report.predicts[rows])
     else:
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
-    tails = np.array([text.encode("utf-8") for text in suffixes], dtype=bytes)
-    tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
     texts = np.ascontiguousarray(report.texts)
+    width = texts.itemsize
+    # each suffix behind a run of zeros as wide as a text: one gather makes
+    # the whole block, and the texts are written over the runs
+    tails = np.array([bytes(width) + text.encode("utf-8") for text in suffixes], dtype=bytes)
+    tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
     out = bytearray(header.encode("utf-8"))
     for start in range(0, len(texts), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block = np.concatenate(
-            (texts[rows].view(np.uint8).reshape(-1, texts.itemsize), tails[suffix_of(rows)]),
-            axis=1)
+        block = np.take(tails, suffix_of(rows), axis=0)
+        block[:, :width] = texts[rows].view(np.uint8).reshape(-1, width)
         out += block.tobytes().translate(None, b"\0")
     return out
 

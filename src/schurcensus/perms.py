@@ -1,7 +1,7 @@
 """Permutation groups and automorphisms of edge-colored graphs.
 
 Permutations on n points live as numpy index arrays: p[x] is the image of
-x, compose(a, b) applies b first.  ``PermGroup`` keeps a deterministic
+x, so a[b] applies b first, then a.  ``PermGroup`` keeps a deterministic
 stabilizer chain along an explicit base (0, 1, ..., n-1 unless given),
 built from a strong generating set by one orbit per level with no
 Schreier-Sims closure, as one record per level: the level's generators
@@ -70,17 +70,6 @@ DEFAULT_ORACLE_CAP = 100  # automorphism searches refuse bigger vertex sets
 
 def identity_perm(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int32)
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The permutation applying b first, then a."""
-    return a[b]
-
-
-def inverse_perm(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[a] = np.arange(len(a), dtype=a.dtype)
-    return out
 
 
 def is_identity(a: np.ndarray) -> bool:

@@ -2,9 +2,10 @@
 
 Nothing here imports the package under test: polynomial arithmetic works
 on little-endian coefficient tuples, set partitions come from a plain
-recursive generator, group-algebra convolution is a dict double loop, and
-permutation groups are listed element by element by breadth-first closure,
-and the report tables are rendered one f-string per row.
+recursive generator, group-algebra convolution is a dict double loop,
+permutations compose as tuples, permutation groups are listed element by
+element by breadth-first closure, and the report tables are rendered one
+f-string per row.
 """
 
 from itertools import product
@@ -209,6 +210,19 @@ def refinement_labels(edge_colors, colors=None):
         if len(rank) == len(set(colors)):
             return fresh
         colors = fresh
+
+
+def compose(a, b):
+    """The permutation tuple applying b first, then a."""
+    return tuple(a[x] for x in b)
+
+
+def inverse_perm(a):
+    """The inverse of a permutation, as a tuple."""
+    out = [0] * len(a)
+    for x, image in enumerate(a):
+        out[image] = x
+    return tuple(out)
 
 
 def perm_closure(gens, limit=200000):

@@ -597,6 +597,19 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
     assert cross_validate(make_field(3, 1)).total == 15
 
 
+def test_cross_validate_takes_only_a_worker_count_of_at_least_one(monkeypatch):
+    # the CLI refuses these; the library used to run them as one process
+    def no_run(*args):
+        raise AssertionError("a run started on a bad worker count")
+    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(analysis, "_oracle_worker", no_run)
+    for workers in (0, -1, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            cross_validate(make_field(3, 1), workers=workers)
+    monkeypatch.undo()
+    assert cross_validate(make_field(3, 1), workers=np.int64(1)).total == 15
+
+
 _real_worker = analysis._oracle_worker
 
 

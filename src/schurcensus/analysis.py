@@ -39,7 +39,6 @@ concatenated), so composition reads left to right.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import logging
 import math
 import numbers
@@ -56,12 +55,11 @@ from .lines import (
     condition_holds,
     condition_mask,
     enumerate_partitions,
-    line_points,
     mobius_normalize,
     orbit_labels,
     partition_array,
     partition_texts,
-    point_index,
+    point_slopes,
 )
 from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
 from .schur import SchurBasis, group_tables, verify_schur_axioms
@@ -225,11 +223,6 @@ def nonschurian_criterion(pi: LinePartition) -> CriterionReport:
 # linear maps on coordinate rows
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _coordinate_rows(field: Field) -> np.ndarray:
-    return np.array([field.coords(a) for a in field.elements()], dtype=np.int64)
-
-
 def coerce_matrix(field: Field, matrix) -> np.ndarray:
     """An invertible 2e x 2e matrix over F_p, from a numpy integer array or
     nested lists of integers, reduced mod p as Python integers (so entries
@@ -277,7 +270,7 @@ def matrix_point_permutation(field: Field, matrix) -> np.ndarray:
     in GL(2e, p)."""
     sigma = coerce_matrix(field, matrix)
     q, e, p = field.q, field.e, field.p
-    coords = _coordinate_rows(field)
+    coords = field.digit_table()
     x, y = np.divmod(np.arange(q * q), q)
     rows = np.concatenate([coords[x], coords[y]], axis=1)
     image = rows @ sigma % p
@@ -288,13 +281,10 @@ def matrix_point_permutation(field: Field, matrix) -> np.ndarray:
 def invariant_slopes(field: Field, matrix) -> frozenset[int]:
     """The slopes s with sigma(L_s) = L_s, for invertible sigma acting on
     coordinate rows."""
-    perm = matrix_point_permutation(field, matrix)
-    out = []
-    for s in all_slopes(field):
-        members = {point_index(field, pt) for pt in line_points(field, s)}
-        if {int(perm[m]) for m in members} == members:
-            out.append(s)
-    return frozenset(out)
+    slopes = point_slopes(field)
+    # a line is moved as soon as one of its points leaves it
+    moved = slopes[slopes[matrix_point_permutation(field, matrix)] != slopes]
+    return frozenset(all_slopes(field)).difference(moved.tolist())
 
 
 class ClosureReport(NamedTuple):
@@ -383,18 +373,6 @@ def line_fixing_maps(field: Field) -> Iterator[np.ndarray]:
 # census and cross-validation
 # ---------------------------------------------------------------------------
 
-def _same_table(self, other) -> bool:
-    # tuple equality would ask numpy for the truth of an element-wise
-    # comparison; compare the array columns whole instead
-    return type(self) is type(other) and all(
-        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-        for a, b in zip(self, other))
-
-
-def _other_table(self, other) -> bool:
-    return not _same_table(self, other)
-
-
 class Census(NamedTuple):
     """Row i is the partition ``texts[i]`` (a fixed-width bytes array
     from ``partition_texts``) with its prediction ``predicts[i]``."""
@@ -403,9 +381,6 @@ class Census(NamedTuple):
     predicted: int
     texts: np.ndarray
     predicts: np.ndarray
-
-    __eq__ = _same_table
-    __ne__ = _other_table
 
 
 def census(field: Field) -> Census:
@@ -447,9 +422,6 @@ class CrossValidation(NamedTuple):
     schurian: np.ndarray
     orbit: np.ndarray
     aut_orders: tuple[int, ...]
-
-    __eq__ = _same_table
-    __ne__ = _other_table
 
 
 def _oracle_worker(payload) -> tuple[bool, int, bool]:

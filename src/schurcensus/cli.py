@@ -374,11 +374,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     try:
-        if args.output is None:
-            sys.stdout.write(data.decode("utf-8"))
-        else:
+        if args.output is not None:
             with open(args.output, "wb") as handle:
                 handle.write(data)
+        elif hasattr(sys.stdout, "buffer"):
+            # the bytes as they are: decoding them would copy the report twice
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        else:  # a text stream with no bytes beneath it, such as io.StringIO
+            sys.stdout.write(data.decode("utf-8"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

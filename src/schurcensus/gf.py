@@ -18,9 +18,10 @@ Each candidate polynomial is tested by one walk over the powers of x (see
 ``_power_walk``): it is primitive exactly when the walk first returns to 1
 after q - 1 steps, and the walk is then the field's exp table.  From it
 every field carries dense lookup tables (q x q for addition and
-multiplication, length q for negation, inversion and discrete logs), built
-when it is constructed; all element arithmetic reads them.  ``make_field``
-therefore refuses fields above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
+multiplication, length q for negation, inversion and discrete logs, and
+q x e for the digits of each index), built when it is constructed; all
+element arithmetic reads them.  ``make_field`` therefore refuses fields
+above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
 
 Matrices over F_p (the regular representation below, and the linear maps
 in other modules) are numpy integer arrays with entries reduced mod p.
@@ -102,7 +103,8 @@ class Field:
         self.q = q = p ** e
         self.modulus = modulus  # monic, length e + 1, constant term first
         self._hash = hash((p, e, modulus))
-        digits = _digits(p, e)
+        self._digits_t = digits = _digits(p, e)
+        digits.setflags(write=False)
         scale = p ** np.arange(e)
         self._add_t = ((digits[:, None, :] + digits[None, :, :]) % p @ scale).astype(np.int32)
         self._neg_t = ((-digits) % p @ scale).astype(np.int32)
@@ -149,12 +151,7 @@ class Field:
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a: its coefficients on 1, zeta, ..., zeta**(e-1)."""
-        self._check(a)
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(self._digits_t[self._check(a)].tolist())
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -229,6 +226,10 @@ class Field:
 
     def neg_table(self) -> np.ndarray:
         return self._neg_t
+
+    def digit_table(self) -> np.ndarray:
+        """Read-only (q, e) table whose row a is ``coords(a)``."""
+        return self._digits_t
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ element s, and a vertical line of slope infinity {(0, y)}.  Slopes are
 plain integers 0..q, with q standing for infinity, so the canonical slope
 order (field elements by index, infinity last) is just integer order.
 Points are (x, y) pairs of element indices; the flat point index is
-x * q + y, which puts the origin at index 0.
+x * q + y, which puts the origin at index 0.  ``point_slopes`` holds
+the slope of every point in one cached array, which is where the other
+modules look up which line a point lies on.
 
 A ``LinePartition`` groups the slopes into classes.  Pulling each class
 back to the union of its punctured lines (and adding the origin as its own
@@ -85,13 +87,6 @@ def parse_slope_literal(field: Field, text: str) -> int:
         f"expected 0..{field.q - 1} or {INFINITY_LITERAL!r}")
 
 
-def point_index(field: Field, pt: tuple[int, int]) -> int:
-    x, y = pt
-    field._check(x)
-    field._check(y)
-    return x * field.q + y
-
-
 def line_points(field: Field, s: int) -> list[tuple[int, int]]:
     """All q points of the line with slope s (the origin included)."""
     if s == field.q:
@@ -101,15 +96,28 @@ def line_points(field: Field, s: int) -> list[tuple[int, int]]:
     return [(x, field.mul(s, x)) for x in range(field.q)]
 
 
-def punctured_line(field: Field, s: int) -> list[tuple[int, int]]:
-    return [pt for pt in line_points(field, s) if pt != (0, 0)]
+@functools.lru_cache(maxsize=None)
+def point_slopes(field: Field) -> np.ndarray:
+    """The slope of the line through each flat point, as one read-only
+    int32 array of length q**2; the origin, on every line, reads -1.  A
+    point (x, y) with x != 0 lies on slope s exactly when y = s*x, as in
+    ``line_points``, so row s of the multiplication table places slope s
+    at the points x*q + s*x; the points with x = 0 are the vertical line q."""
+    q = field.q
+    slopes = np.full(q * q, q, dtype=np.int32)
+    x = np.arange(1, q)
+    slopes[x * q + field.mul_table()[:, 1:]] = np.arange(q)[:, None]
+    slopes[0] = -1
+    slopes.setflags(write=False)
+    return slopes
 
 
 @functools.lru_cache(maxsize=None)
 def _punctured_index_cache(field: Field) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted(point_index(field, pt) for pt in punctured_line(field, s)))
-        for s in all_slopes(field))
+    """The points of each punctured line, slope by slope, in index order:
+    a stable sort by slope puts the origin first, then each line in turn."""
+    order = np.argsort(point_slopes(field), kind="stable")[1:]
+    return tuple(map(tuple, order.reshape(field.q + 1, field.q - 1).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SizingError
 from .gf import Field
-from .lines import LinePartition, induced_partition, line_points, point_index
+from .lines import LinePartition, induced_partition, point_slopes
 
 DEFAULT_GROUP_CAP = 2048  # largest |V| we materialize an addition table for
 
@@ -57,19 +57,12 @@ def group_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return add.astype(np.int32), (neg[x] * field.q + neg[y]).astype(np.int32)
 
 
-def class_indicator(field: Field, points: Iterable[int]) -> np.ndarray:
-    n = field.q ** 2
-    out = np.zeros(n, dtype=np.int64)
-    for p in points:
-        if not 0 <= p < n:
-            raise ValueError(f"{p} is not a point index for {field}")
-        out[p] += 1
-    return out
-
-
 def full_line_sum(field: Field, s: int) -> np.ndarray:
-    return class_indicator(
-        field, (point_index(field, pt) for pt in line_points(field, s)))
+    """The indicator vector of the full line of slope s, origin included."""
+    if not 0 <= s <= field.q:
+        raise ValueError(f"{s} is not a slope for {field}")
+    slopes = point_slopes(field)
+    return ((slopes == s) | (slopes == -1)).astype(np.int64)
 
 
 def convolve(field: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:

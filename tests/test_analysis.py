@@ -17,6 +17,7 @@ from schurcensus.lines import (
     all_slopes,
     condition_holds,
     enumerate_partitions,
+    line_points,
     one_class_partition,
     orbit_labels,
     partition_array,
@@ -282,6 +283,28 @@ def test_invariant_slopes_scalar_and_diagonal():
     assert invariant_slopes(field, [[1, 1], [0, 1]]) == {5}
 
 
+@pytest.mark.parametrize("p, e", [(2, 2), (5, 1), (3, 2)])
+def test_invariant_slopes_match_the_line_point_sets(p, e):
+    # the reference moves each line's point set and compares it whole
+    field = make_field(p, e)
+    q, dim = field.q, 2 * e
+    members = [{x * q + y for x, y in line_points(field, s)} for s in all_slopes(field)]
+    rng = np.random.default_rng(20261019)
+    picked = 0
+    while picked < 60:
+        sigma = rng.integers(0, p, size=(dim, dim))
+        if picked % 2:
+            sigma = diag_embed(field, sigma[:e, :e])  # fixes 0 and inf at least
+        try:
+            perm = matrix_point_permutation(field, sigma)
+        except ValueError:
+            continue  # singular draw
+        picked += 1
+        expect = {s for s, points in enumerate(members)
+                  if {int(perm[k]) for k in points} == points}
+        assert invariant_slopes(field, sigma) == expect
+
+
 def test_gf9_frobenius_fixes_the_prime_subfield_slopes():
     field = make_field(3, 2)
     # x -> x^3 on coordinate rows: row i holds the image of zeta^i
@@ -453,7 +476,9 @@ def test_cross_validate_scope_filtered_and_workers():
     assert seq.total == seq.predicted_nonschurian == 4
     assert seq.unpredicted_schurian == seq.unpredicted_nonschurian == 0
     par = cross_validate(field, scope="filtered", workers=2)
-    assert par == seq
+    assert type(par) is type(seq)
+    for name, a, b in zip(seq._fields, par, seq):
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("p, e, stride", [

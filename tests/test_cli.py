@@ -1,6 +1,8 @@
 """The command-line surface: reports, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,6 +28,14 @@ STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
 
 def fixture(name):
     return str(resources.files("schurcensus") / "fixtures" / name)
+
+
+def package_env():
+    """The environment with this package's source directory first on
+    PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run_json(capsys, argv):
@@ -238,9 +248,7 @@ def test_reports_leave_numpy_ma_unimported(tmp_path):
         f" '--format', 'tsv', '--output', {str(tmp_path / 'xv.tsv')!r}]) == 0",
         "sys.exit('numpy.ma' in sys.modules)",
     ])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "numpy.ma was imported"
@@ -269,6 +277,31 @@ def test_output_flag_matches_stdout(tmp_path, capsys):
     assert cli.main(argv + ["--output", str(path)]) == 0
     assert path.read_bytes().decode("utf-8") == streamed
     assert len(streamed.splitlines()) == 53  # header + Bell(5) rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--field", "3^1", "--format", "tsv"],
+    ["schurian-test", "--partition", fixture("wielandt-q5.json")],
+], ids=["census-tsv", "schurian-test-json"])
+def test_raw_stdout_bytes_match_the_output_file(tmp_path, argv):
+    # the report goes to stdout's byte stream as it is, with no decoding
+    # and no newline translation on the way
+    env = package_env()
+    command = [sys.executable, "-m", "schurcensus.cli", *argv]
+    streamed = subprocess.run(command, env=env, capture_output=True, check=True).stdout
+    path = tmp_path / "report"
+    subprocess.run(command + ["--output", str(path)], env=env, check=True)
+    assert streamed and streamed == path.read_bytes()
+
+
+def test_stdout_without_a_byte_stream_gets_the_text(tmp_path):
+    argv = ["census", "--field", "2^2", "--format", "tsv"]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(argv) == 0
+    path = tmp_path / "census.tsv"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert text.getvalue() == path.read_bytes().decode("utf-8")
 
 
 def test_report_partition_round_trips(tmp_path, capsys):

@@ -206,6 +206,16 @@ def test_coords_roundtrip():
             assert f.coords(f.zeta) == (0, 1) + (0,) * (e - 2)
 
 
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_digit_table_rows_are_coords(p, e):
+    f = make_field(p, e)
+    table = f.digit_table()
+    assert table.shape == (f.q, e)
+    assert [tuple(row) for row in table.tolist()] == [f.coords(a) for a in f.elements()]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
 def has_full_order(f, a):
     """True iff the powers of a run through every unit of f."""
     return len({f.power(a, k) for k in range(f.q - 1)}) == f.q - 1

@@ -30,8 +30,7 @@ from schurcensus.lines import (
     partition_array,
     partition_texts,
     partition_to_json_dict,
-    point_index,
-    punctured_line,
+    point_slopes,
     singleton_partition,
     singleton_slopes,
     slope_literal,
@@ -59,9 +58,7 @@ def test_lines_cover_plane_and_meet_at_origin(field):
     for s in all_slopes(field):
         pts = line_points(field, s)
         assert len(pts) == q and (0, 0) in pts
-        punct = punctured_line(field, s)
-        assert set(punct) == set(pts) - {(0, 0)}
-        for pt in punct:
+        for pt in set(pts) - {(0, 0)}:
             assert pt not in seen  # distinct lines share only the origin
             seen.add(pt)
     assert len(seen) == q * q
@@ -74,14 +71,17 @@ def test_line_membership_matches_equation_gf4():
 
 
 @pytest.mark.parametrize("field", fields(), ids=str)
-def test_point_index_roundtrip(field):
-    for x in range(field.q):
-        for y in range(field.q):
-            i = point_index(field, (x, y))
-            assert divmod(i, field.q) == (x, y)
-    assert point_index(field, (0, 0)) == 0
+def test_point_slopes_match_line_points(field):
+    # every q <= 9; the point (x, y) has the flat index x * q + y
+    q = field.q
+    slopes = point_slopes(field)
+    assert slopes.shape == (q * q,) and slopes[0] == -1
+    for s in all_slopes(field):
+        members = {x * q + y for x, y in line_points(field, s)} - {0}
+        assert set(np.flatnonzero(slopes == s).tolist()) == members
     with pytest.raises(ValueError):
-        point_index(field, (field.q, 0))
+        slopes[1] = 0
+    assert point_slopes(field) is slopes
 
 
 def test_slope_literals():

@@ -9,13 +9,13 @@ from schurcensus.errors import SizingError
 from schurcensus.lines import (
     LinePartition,
     enumerate_partitions,
+    line_points,
     one_class_partition,
     singleton_partition,
     wielandt_partition,
 )
 from schurcensus.schur import (
     SchurBasis,
-    class_indicator,
     convolve,
     full_line_sum,
     group_tables,
@@ -76,20 +76,27 @@ def test_convolve_rejects_wrong_length():
         convolve(field, np.ones(9, dtype=np.int64), np.ones(8, dtype=np.int64))
 
 
-def test_class_indicator_counts_multiplicity():
-    field = make_field(2, 1)
-    vec = class_indicator(field, [0, 3, 3])
-    assert vec.tolist() == [1, 0, 0, 2]
-    with pytest.raises(ValueError):
-        class_indicator(field, [4])
-
-
 def test_full_line_sum_is_a_subgroup_indicator():
     field = make_field(5, 1)
     for s in range(6):
         vec = full_line_sum(field, s)
         assert vec.sum() == 5 and vec[0] == 1
         assert np.array_equal(convolve(field, vec, vec), 5 * vec)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (5, 1), (3, 2)])
+def test_full_line_sum_marks_the_line_points(p, e):
+    field = make_field(p, e)
+    q = field.q
+    for s in range(q + 1):
+        expect = np.zeros(q * q, dtype=np.int64)
+        for x, y in line_points(field, s):
+            expect[x * q + y] = 1
+        got = full_line_sum(field, s)
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
+    for bad in (-1, q + 1):
+        with pytest.raises(ValueError, match="not a slope"):
+            full_line_sum(field, bad)
 
 
 # ---------------------------------------------------------------------------

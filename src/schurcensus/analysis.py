@@ -27,7 +27,11 @@ texts from ``lines.partition_texts`` and predictions from
 ``lines.orbit_labels`` and builds only the orbit representatives.  The
 tables they return hold columns, one array per field of a row (texts,
 predictions, verdicts, orbit numbers) and |Aut| once per orbit, never a
-Python object per row.
+Python object per row.  On more than one worker the orbit representatives
+go to children forked with ``os.fork`` once they are chosen: child j runs
+representatives j, j + workers, ... from the memory it inherits and pipes
+back one pickled verdict each, and the parent reads verdict k from child
+k % workers, so the verdicts arrive in orbit order with no payload queue.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -43,7 +47,8 @@ import logging
 import math
 import numbers
 import os
-from typing import Iterator, NamedTuple, Optional
+import pickle
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -434,10 +439,96 @@ def _oracle_worker(payload) -> tuple[bool, int, bool]:
 
 def default_workers() -> int:
     """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the CPU count."""
+    platform has one, else the CPU count; 1 where there is no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _serve(payloads, write_fd: int) -> NoReturn:
+    """The body of a forked worker: run ``_oracle_worker`` on each payload
+    and write each result, or the exception it raised, to the pipe as one
+    pickled (ok, value) record, stopping after an exception.  Exit 0 after
+    the last record and 1 on any failure to send one; ``os._exit`` skips
+    the parent's cleanup and buffers, which belong to the parent."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as out:
+            for payload in payloads:
+                try:
+                    record = (True, _oracle_worker(payload))
+                except Exception as exc:
+                    record = (False, exc)
+                # pickled whole first, so a record that cannot be pickled
+                # leaves no partial bytes in the pipe
+                out.write(pickle.dumps(record))
+                out.flush()
+                if not record[0]:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _broken_pool(message: str) -> concurrent.futures.BrokenExecutor:
+    # the process-pool module loads multiprocessing, so only a failing
+    # run imports it
+    from concurrent.futures.process import BrokenProcessPool
+    return BrokenProcessPool(message)
+
+
+def _forked_results(payloads: list, workers: int) -> Iterator[tuple[bool, int, bool]]:
+    """``_oracle_worker`` on every payload, in order, from ``workers``
+    forked children: child j runs payloads j, j + workers, ..., read from
+    the memory it inherits, and result k is read from child k % workers.
+
+    An exception a child sends is raised here with its type and message; a
+    child that ends before its last record, or exits with a nonzero
+    status, raises BrokenProcessPool.  Every child is reaped with
+    ``waitpid`` however the generator ends, so its CPU time counts in the
+    RUSAGE_CHILDREN of this process; when the results are not all read
+    (an error, or ``close()`` from the caller) the children are killed
+    first."""
+    readers, pids = [], []
+    received = False
+    try:
+        for j in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(payloads[j::workers], write_fd)
+                pids.append(pid)
+            finally:
+                # with only the child holding the write end, its death
+                # reads as end of file
+                os.close(write_fd)
+        for k in range(len(payloads)):
+            try:
+                ok, value = pickle.load(readers[k % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise _broken_pool(
+                    f"cross-validate worker {pids[k % workers]} ended before "
+                    f"sending all its results") from None
+            if not ok:
+                raise value
+            yield value
+        received = True
+    finally:
+        if not received:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for reader in readers:
+            reader.close()
+    failed = [code for code in codes if code]
+    if failed:
+        raise _broken_pool(f"a cross-validate worker exited with status {failed[0]}")
 
 
 def cross_validate(field: Field, *, scope: str = "all",
@@ -456,10 +547,19 @@ def cross_validate(field: Field, *, scope: str = "all",
     and |Aut| once per orbit.  The moment an orbit holding a predicted
     partition comes back schurian the whole run aborts with
     InconsistencyError, naming the first such partition.  Results are in
-    enumeration order whatever the worker count.  ``workers`` None means
-    ``default_workers()``; anything but an integer of at least 1 (a bool
-    included) raises ValueError before any pool starts.  A worker that
-    dies raises concurrent.futures.process.BrokenProcessPool.
+    enumeration order whatever the worker count.
+
+    ``workers`` None means ``default_workers()``; anything but an integer
+    of at least 1 (a bool included), or more than 1 on a platform without
+    ``os.fork``, raises ValueError before any work.  One worker runs the
+    oracle in this process.  More are forked children, at most one per
+    orbit, each taking every workers-th orbit in turn, so the shares
+    differ by at most one orbit; this process runs no oracle and checks
+    the verdicts in orbit order as they arrive.  An exception raised in a
+    worker is raised here with its type and message; a worker that dies
+    raises concurrent.futures.process.BrokenProcessPool.  Every worker is
+    reaped before the call returns or raises, and killed first when the
+    run stops early.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -467,6 +567,8 @@ def cross_validate(field: Field, *, scope: str = "all",
         workers = default_workers()
     elif isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, not {workers!r}")
+    elif workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{workers} workers needs os.fork, which this platform lacks")
     if field.q ** 2 > oracle_cap:
         raise SizingError(
             f"{field} needs the oracle on {field.q ** 2} points, above the "
@@ -491,12 +593,9 @@ def cross_validate(field: Field, *, scope: str = "all",
     workers = min(workers, len(payloads))
     orbit_schurian = np.zeros(len(firsts), dtype=bool)
     aut_orders = []
-    # the executor module loads on first use, so runs without a pool
-    # never import it
-    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
+    produced = (_forked_results(payloads, workers) if workers > 1
+                else map(_oracle_worker, payloads))
     try:
-        produced = (pool.map(_oracle_worker, payloads) if pool
-                    else map(_oracle_worker, payloads))
         for k, (found, aut_order, holds) in enumerate(produced):
             if holds != predicts[firsts[k]]:
                 raise InconsistencyError(
@@ -510,10 +609,10 @@ def cross_validate(field: Field, *, scope: str = "all",
             orbit_schurian[k] = found
             aut_orders.append(aut_order)
     finally:
-        if pool is not None:
-            # drop the runs not yet started and join the workers, whose
-            # CPU time only then counts in the RUSAGE_CHILDREN of this process
-            pool.shutdown(cancel_futures=True)
+        if workers > 1:
+            # on an abort, kill and reap the workers now, not when the
+            # generator is collected
+            produced.close()
 
     schurian = orbit_schurian[orbit]
     return CrossValidation(

@@ -49,6 +49,12 @@ STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
                              reason="set SCHURCENSUS_STRETCH=1 for the large-field runs")
 
 
+def assert_no_child_left():
+    # every forked worker has been reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def diag_embed(field, block):
     e = field.e
     sigma = np.zeros((2 * e, 2 * e), dtype=np.int64)
@@ -470,15 +476,25 @@ def test_cross_validate_q5_all():
     assert not by_text[str(wielandt_partition(field))].schurian
 
 
-def test_cross_validate_scope_filtered_and_workers():
+def test_cross_validate_scope_filtered_and_workers(monkeypatch):
     field = make_field(5, 1)
     seq = cross_validate(field, scope="filtered", workers=1)
     assert seq.total == seq.predicted_nonschurian == 4
     assert seq.unpredicted_schurian == seq.unpredicted_nonschurian == 0
-    par = cross_validate(field, scope="filtered", workers=2)
-    assert type(par) is type(seq)
-    for name, a, b in zip(seq._fields, par, seq):
-        assert np.array_equal(a, b), name
+    # the filtered scope has 2 orbits and "all" has 13: 5 workers leave
+    # 3 with nothing to do, and 3 split the 13 orbits 5/4/4
+    for scope, workers in (("filtered", 2), ("filtered", 5), ("all", 3)):
+        seq = cross_validate(field, scope=scope, workers=1)
+        par = cross_validate(field, scope=scope, workers=workers)
+        assert type(par) is type(seq)
+        for name, a, b in zip(seq._fields, par, seq):
+            assert np.array_equal(a, b), (scope, workers, name)
+    assert_no_child_left()
+
+    def no_fork():
+        raise AssertionError("a worker was forked for no orbit")
+    monkeypatch.setattr(analysis.os, "fork", no_fork)
+    assert cross_validate(make_field(2, 1), scope="filtered", workers=2).total == 0
 
 
 @pytest.mark.parametrize("p, e, stride", [
@@ -593,13 +609,37 @@ def test_cross_validate_aborts_per_orbit(monkeypatch):
 
     monkeypatch.setattr(analysis, "schurian_test", lying)
     first = next(pi for pi in orbit if analysis.condition_holds(pi))
+    # the same message in process and from forked workers, which are all
+    # reaped after the abort
+    for workers in (1, 2):
+        with pytest.raises(InconsistencyError) as info:
+            cross_validate(field, workers=workers)
+        assert str(info.value) == (
+            f"partition {first} is predicted non-schurian but the oracle finds "
+            f"it schurian")
+        with pytest.raises(InconsistencyError, match=f"partition {first} "):
+            cross_validate(field, scope="filtered", workers=workers)
+        assert_no_child_left()
+
+
+def test_a_worker_exception_reaches_the_parent(monkeypatch):
+    # the oracle's own alarm, raised in a forked worker on the first orbit
+    # (the one-class ring) while the other worker is still running
+    field = make_field(5, 1)
+    target = SchurBasis.from_partition(one_class_partition(field))
+    real = analysis.schurian_test
+
+    def alarmed(basis, *, cap):
+        if basis == target:
+            raise InconsistencyError("stabilizer orbit (1, 2) straddles classes [1, 2]")
+        return real(basis, cap=cap)
+
+    monkeypatch.setattr(analysis, "schurian_test", alarmed)
     with pytest.raises(InconsistencyError) as info:
-        cross_validate(field, workers=1)
-    assert str(info.value) == (
-        f"partition {first} is predicted non-schurian but the oracle finds "
-        f"it schurian")
-    with pytest.raises(InconsistencyError, match=f"partition {first} "):
-        cross_validate(field, scope="filtered", workers=1)
+        cross_validate(field, workers=2)
+    assert type(info.value) is InconsistencyError
+    assert str(info.value) == "stabilizer orbit (1, 2) straddles classes [1, 2]"
+    assert_no_child_left()
 
 
 def test_cross_validate_guards():
@@ -616,9 +656,22 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
     assert analysis.default_workers() == 1
 
-    def no_pool(*args):
-        raise AssertionError("a pool was started on a single allowed CPU")
-    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def no_fork():
+        raise AssertionError("a worker was forked on a single allowed CPU")
+    monkeypatch.setattr(analysis.os, "fork", no_fork)
+    assert cross_validate(make_field(3, 1)).total == 15
+
+
+def test_without_fork_there_is_one_worker(monkeypatch):
+    # no silent fallback: an explicit count above 1 is refused before any
+    # work, which would trip over the missing partition_array
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(analysis, "partition_array", None)
+    assert analysis.default_workers() == 1
+    with pytest.raises(ValueError, match="needs os.fork"):
+        cross_validate(make_field(3, 1), workers=2)
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
     assert cross_validate(make_field(3, 1)).total == 15
 
 
@@ -626,7 +679,7 @@ def test_cross_validate_takes_only_a_worker_count_of_at_least_one(monkeypatch):
     # the CLI refuses these; the library used to run them as one process
     def no_run(*args):
         raise AssertionError("a run started on a bad worker count")
-    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(analysis.os, "fork", no_run)
     monkeypatch.setattr(analysis, "_oracle_worker", no_run)
     for workers in (0, -1, 1.5, True, "2"):
         with pytest.raises(ValueError, match="workers must be an integer"):
@@ -651,3 +704,11 @@ def test_a_dead_worker_breaks_the_run(monkeypatch):
     with pytest.raises(BrokenProcessPool):
         cross_validate(make_field(3, 1), workers=2)
     assert time.perf_counter() - start < 30
+    assert_no_child_left()
+    # a worker that sends every result but exits with a nonzero status
+    monkeypatch.undo()
+    real_exit = os._exit
+    monkeypatch.setattr(analysis.os, "_exit", lambda status: real_exit(3))
+    with pytest.raises(BrokenProcessPool, match="exited with status 3"):
+        cross_validate(make_field(3, 1), workers=2)
+    assert_no_child_left()

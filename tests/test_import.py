@@ -1,4 +1,5 @@
-"""Importing the package caps BLAS at one thread, and only by default."""
+"""Importing the package caps BLAS at one thread, and only by default; a
+pooled run loads no process-pool machinery."""
 
 import json
 import os
@@ -39,3 +40,16 @@ def test_a_preset_thread_count_wins():
 def test_numpy_imported_first_is_left_alone():
     _, values = fresh_import("import numpy\nimport schurcensus")
     assert values == [None, None]
+
+
+def test_a_pooled_run_loads_no_pool_machinery():
+    # the workers are forked directly: neither the import nor a run on two
+    # workers loads multiprocessing, and only an abort loads signal
+    code = ("import sys, schurcensus\n"
+            "schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',"
+            " 'signal') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -10,14 +10,14 @@ import sys
 
 # Every matrix product here is on integer arrays, which numpy multiplies
 # with its own loops, never BLAS, and the parallel runs come from the
-# process pool of cross_validate: a BLAS thread pool would only spin.  The
+# forked workers of cross_validate: a BLAS thread pool would only spin.  The
 # variables are read once, when numpy loads, so a process that imported it
 # first is left as it is.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from .errors import InconsistencyError, PartitionFormatError, SizingError
+from .errors import InconsistencyError, PartitionFormatError, SizingError, WorkerError
 from .gf import Field, field_from_literal, make_field, parse_field_literal
 from .lines import (
     LinePartition,
@@ -53,6 +53,7 @@ __all__ = [
     "SchurBasis",
     "SchurianReport",
     "SizingError",
+    "WorkerError",
     "analyze_partition",
     "census",
     "condition_holds",

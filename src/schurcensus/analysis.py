@@ -31,7 +31,7 @@ Python object per row.  On more than one worker the orbit representatives
 go to children forked with ``os.fork`` once they are chosen: child j runs
 representatives j, j + workers, ... from the memory it inherits and pipes
 back one pickled verdict each, and the parent reads verdict k from child
-k % workers, so the verdicts arrive in orbit order with no payload queue.
+k % workers, in orbit order; a child that dies raises ``WorkerError``.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -42,7 +42,8 @@ concatenated), so composition reads left to right.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
+import gc
 import logging
 import math
 import numbers
@@ -52,8 +53,8 @@ from typing import Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
-from .errors import InconsistencyError, PartitionFormatError, SizingError
-from .gf import Field, field_from_literal
+from .errors import InconsistencyError, PartitionFormatError, SizingError, WorkerError
+from .gf import Field
 from .lines import (
     LinePartition,
     all_slopes,
@@ -429,12 +430,9 @@ class CrossValidation(NamedTuple):
     aut_orders: tuple[int, ...]
 
 
-def _oracle_worker(payload) -> tuple[bool, int, bool]:
-    literal, classes, oracle_cap = payload
-    report = analyze_partition(LinePartition(field_from_literal(literal), classes),
-                               oracle_cap=oracle_cap)
-    return (report.oracle_verdict == SCHURIAN, report.aut_order,
-            report.criterion_verdict == PREDICTS_NONSCHURIAN)
+def _oracle_worker(pi: LinePartition, oracle_cap: int) -> tuple[bool, int]:
+    outcome = schurian_test(SchurBasis.from_partition(pi), cap=oracle_cap)
+    return outcome.schurian, outcome.aut_order
 
 
 def default_workers() -> int:
@@ -447,18 +445,19 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(payloads, write_fd: int) -> NoReturn:
-    """The body of a forked worker: run ``_oracle_worker`` on each payload
-    and write each result, or the exception it raised, to the pipe as one
-    pickled (ok, value) record, stopping after an exception.  Exit 0 after
-    the last record and 1 on any failure to send one; ``os._exit`` skips
-    the parent's cleanup and buffers, which belong to the parent."""
+def _serve(run, items, write_fd: int) -> NoReturn:
+    """The body of a forked worker: call ``run`` on each item and write
+    each result, or the exception it raised, to the pipe as one pickled
+    (ok, value) record, stopping after an exception.  Exit 0 after the
+    last record and 1 on any failure to send one; ``os._exit`` skips the
+    parent's cleanup and buffers, which belong to the parent."""
     status = 1
     try:
+        gc.freeze()  # no collection here writes to, and so copies, the parent's pages
         with open(write_fd, "wb") as out:
-            for payload in payloads:
+            for item in items:
                 try:
-                    record = (True, _oracle_worker(payload))
+                    record = (True, run(item))
                 except Exception as exc:
                     record = (False, exc)
                 # pickled whole first, so a record that cannot be pickled
@@ -472,21 +471,14 @@ def _serve(payloads, write_fd: int) -> NoReturn:
         os._exit(status)
 
 
-def _broken_pool(message: str) -> concurrent.futures.BrokenExecutor:
-    # the process-pool module loads multiprocessing, so only a failing
-    # run imports it
-    from concurrent.futures.process import BrokenProcessPool
-    return BrokenProcessPool(message)
-
-
-def _forked_results(payloads: list, workers: int) -> Iterator[tuple[bool, int, bool]]:
-    """``_oracle_worker`` on every payload, in order, from ``workers``
-    forked children: child j runs payloads j, j + workers, ..., read from
-    the memory it inherits, and result k is read from child k % workers.
+def _forked_results(run, items: list, workers: int) -> Iterator:
+    """``map(run, items)`` from ``workers`` forked children: child j runs
+    items j, j + workers, ..., read from the memory it inherits, and
+    result k is read from child k % workers.
 
     An exception a child sends is raised here with its type and message; a
     child that ends before its last record, or exits with a nonzero
-    status, raises BrokenProcessPool.  Every child is reaped with
+    status, raises WorkerError.  Every child is reaped with
     ``waitpid`` however the generator ends, so its CPU time counts in the
     RUSAGE_CHILDREN of this process; when the results are not all read
     (an error, or ``close()`` from the caller) the children are killed
@@ -500,17 +492,17 @@ def _forked_results(payloads: list, workers: int) -> Iterator[tuple[bool, int, b
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(payloads[j::workers], write_fd)
+                    _serve(run, items[j::workers], write_fd)
                 pids.append(pid)
             finally:
                 # with only the child holding the write end, its death
                 # reads as end of file
                 os.close(write_fd)
-        for k in range(len(payloads)):
+        for k in range(len(items)):
             try:
                 ok, value = pickle.load(readers[k % workers])
             except (EOFError, pickle.UnpicklingError):
-                raise _broken_pool(
+                raise WorkerError(
                     f"cross-validate worker {pids[k % workers]} ended before "
                     f"sending all its results") from None
             if not ok:
@@ -528,7 +520,7 @@ def _forked_results(payloads: list, workers: int) -> Iterator[tuple[bool, int, b
             reader.close()
     failed = [code for code in codes if code]
     if failed:
-        raise _broken_pool(f"a cross-validate worker exited with status {failed[0]}")
+        raise WorkerError(f"a cross-validate worker exited with status {failed[0]}")
 
 
 def cross_validate(field: Field, *, scope: str = "all",
@@ -557,9 +549,8 @@ def cross_validate(field: Field, *, scope: str = "all",
     differ by at most one orbit; this process runs no oracle and checks
     the verdicts in orbit order as they arrive.  An exception raised in a
     worker is raised here with its type and message; a worker that dies
-    raises concurrent.futures.process.BrokenProcessPool.  Every worker is
-    reaped before the call returns or raises, and killed first when the
-    run stops early.
+    raises WorkerError.  Every worker is reaped before the call returns
+    or raises, and killed first when the run stops early.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -588,15 +579,15 @@ def cross_validate(field: Field, *, scope: str = "all",
     logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
                 field.literal, scope, len(rgs), len(firsts))
 
-    payloads = [(field.literal, pi.classes, oracle_cap)
-                for pi in enumerate_partitions(field, rgs[firsts])]
-    workers = min(workers, len(payloads))
+    reps = list(enumerate_partitions(field, rgs[firsts]))
+    workers = min(workers, len(reps))
     orbit_schurian = np.zeros(len(firsts), dtype=bool)
     aut_orders = []
-    produced = (_forked_results(payloads, workers) if workers > 1
-                else map(_oracle_worker, payloads))
+    run = functools.partial(_oracle_worker, oracle_cap=oracle_cap)
+    produced = _forked_results(run, reps, workers) if workers > 1 else map(run, reps)
     try:
-        for k, (found, aut_order, holds) in enumerate(produced):
+        for k, (found, aut_order) in enumerate(produced):
+            holds = condition_holds(reps[k])
             if holds != predicts[firsts[k]]:
                 raise InconsistencyError(
                     f"partition {texts[firsts[k]].decode()}: condition_holds gives "
@@ -610,8 +601,7 @@ def cross_validate(field: Field, *, scope: str = "all",
             aut_orders.append(aut_order)
     finally:
         if workers > 1:
-            # on an abort, kill and reap the workers now, not when the
-            # generator is collected
+            # on an abort, kill and reap the workers now, not at collection
             produced.close()
 
     schurian = orbit_schurian[orbit]

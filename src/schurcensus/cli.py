@@ -12,10 +12,12 @@ fixed documented column order.  The two tables hold columns, and their
 TSV is rendered from the columns with numpy, a block of rows at a time,
 with no string or tuple built per row; JSON decodes the text column.
 Group orders are serialized as decimal strings; they overflow 64-bit
-integers as early as the rank-2 scheme on 5^2 points.  Exit status is 0 on success, 1 when a verification claim
-fails (a failed axiom check, an inconsistent schurian-test, a
-cross-validation contradiction) or a cross-validate worker process dies,
-and 2 for usage, parse, and sizing problems.
+integers as early as the rank-2 scheme on 5^2 points.
+
+Exit status is 0 on success, 1 when a verification claim fails (a failed
+axiom check, an inconsistent schurian-test, a cross-validation
+contradiction) or a cross-validate worker process dies (WorkerError), and
+2 for usage, parse, and sizing problems.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from .analysis import (
     invariant_slopes,
     nonschurian_criterion,
 )
-from .errors import InconsistencyError, PartitionFormatError
+from .errors import InconsistencyError, PartitionFormatError, WorkerError
 from .gf import Field, field_from_literal
 from .lines import (
     BLOCK_ROWS,
@@ -304,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         if workers:
             cmd.add_argument("--workers", type=int, metavar="N", default=None,
                              help="worker processes (default: the CPUs "
-                                  "this process may use; 1 runs fully "
-                                  "sequential)")
+                                  "this process may use; 1 runs the "
+                                  "oracle in this process)")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json",
                          help="output format (tsv only for the table commands)")
         cmd.add_argument("--output", metavar="PATH", default=None,
@@ -365,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    except BrokenExecutor as exc:  # a cross-validate worker died
+    except WorkerError as exc:  # a cross-validate worker died
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Sizing and format problems are usage errors (the CLI maps them to exit
-status 2); an InconsistencyError means a verification claim failed and is
-reported with exit status 1.
+status 2); an InconsistencyError (a failed verification claim) or a
+WorkerError (a dead cross-validate worker) is reported with exit status 1.
 """
 
 
@@ -16,3 +16,7 @@ class PartitionFormatError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """The non-schurian criterion contradicted the automorphism oracle."""
+
+
+class WorkerError(RuntimeError):
+    """A forked cross-validate worker died or exited with a nonzero status."""

@@ -129,15 +129,15 @@ class LinePartition:
     slopes sorted inside each class, classes sorted by least member.
 
     The input is checked in one pass: every class non-empty and the sorted
-    slopes exactly 0..q.  Only input failing that is walked slope by slope,
-    to name its first fault in the ValueError."""
+    slopes exactly 0..q, each an int or a numpy integer.  Only input failing
+    that is walked slope by slope, to name its first fault in the ValueError."""
 
     __slots__ = ("field", "classes")
 
     def __init__(self, field: Field, classes: Iterable[Iterable[int]]):
         canon = tuple(sorted(map(tuple, map(sorted, classes))))
-        if not (all(canon) and sorted(itertools.chain.from_iterable(canon))
-                == list(all_slopes(field))):
+        slopes = sorted(itertools.chain.from_iterable(canon))
+        if not (all(canon) and slopes == list(all_slopes(field))):
             # not a partition of the slopes: find the first fault and name it
             seen: set[int] = set()
             for cls in canon:
@@ -152,6 +152,9 @@ class LinePartition:
             missing = [slope_literal(field, s) for s in all_slopes(field)
                        if s not in seen]
             raise ValueError(f"partition misses slopes {{{', '.join(missing)}}}")
+        bad = [s for s in slopes if type(s) is not int and not isinstance(s, np.integer)]
+        if bad:
+            raise ValueError(f"slope {bad[0]!r} is not an integer")
         self.field = field
         self.classes = canon
 

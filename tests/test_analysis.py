@@ -1,17 +1,17 @@
 """The schurian oracle, the prediction, linear slope actions, census."""
 
+import gc
 import logging
 import math
 import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from schurcensus import analysis, make_field
-from schurcensus.errors import InconsistencyError, SizingError
+from schurcensus.errors import InconsistencyError, SizingError, WorkerError
 from schurcensus.lines import (
     LinePartition,
     all_slopes,
@@ -524,8 +524,8 @@ def test_cross_validate_rows_match_the_direct_oracle(p, e, stride):
 
 
 def test_cross_validate_builds_one_partition_per_orbit(monkeypatch):
-    # rows come from the array in bulk, as in the census: a LinePartition
-    # for each orbit's representative, one more in the in-process worker,
+    # rows come from the array in bulk, as in the census: one LinePartition
+    # for each orbit's representative, which the worker takes as it is,
     # and one condition_holds call on each representative
     inits, checks = [], []
     real_condition, real_init = analysis.condition_holds, LinePartition.__init__
@@ -546,7 +546,7 @@ def test_cross_validate_builds_one_partition_per_orbit(monkeypatch):
         inits.clear()
         checks.clear()
         assert cross_validate(make_field(p, e), scope=scope, workers=1).total == rows
-        assert (len(inits), len(checks)) == (2 * orbits, orbits)
+        assert (len(inits), len(checks)) == (orbits, orbits)
 
 
 @pytest.mark.parametrize("scope", ["all", "filtered"])
@@ -642,6 +642,17 @@ def test_a_worker_exception_reaches_the_parent(monkeypatch):
     assert_no_child_left()
 
 
+def test_forked_workers_freeze_what_they_inherit(monkeypatch):
+    # a collection in a worker would write to every object it inherited, and
+    # so copy the parent's pages; each worker reports its frozen count
+    monkeypatch.setattr(analysis, "_oracle_worker",
+                        lambda pi, oracle_cap: (False, gc.get_freeze_count()))
+    table = cross_validate(make_field(3, 1), workers=2)
+    assert len(table.aut_orders) > 1
+    assert min(table.aut_orders) > gc.get_freeze_count() + 1000
+    assert_no_child_left()
+
+
 def test_cross_validate_guards():
     with pytest.raises(SizingError):
         cross_validate(make_field(11, 1))
@@ -677,7 +688,7 @@ def test_without_fork_there_is_one_worker(monkeypatch):
 
 def test_cross_validate_takes_only_a_worker_count_of_at_least_one(monkeypatch):
     # the CLI refuses these; the library used to run them as one process
-    def no_run(*args):
+    def no_run(*args, **kwargs):
         raise AssertionError("a run started on a bad worker count")
     monkeypatch.setattr(analysis.os, "fork", no_run)
     monkeypatch.setattr(analysis, "_oracle_worker", no_run)
@@ -691,17 +702,17 @@ def test_cross_validate_takes_only_a_worker_count_of_at_least_one(monkeypatch):
 _real_worker = analysis._oracle_worker
 
 
-def _worker_dying_on_one_class(payload):
-    if len(payload[1]) == 1:
+def _worker_dying_on_one_class(pi, oracle_cap):
+    if len(pi.classes) == 1:
         os._exit(1)  # no exception, no cleanup: as if killed
-    return _real_worker(payload)
+    return _real_worker(pi, oracle_cap)
 
 
 def test_a_dead_worker_breaks_the_run(monkeypatch):
     # the pool used to lose the dead worker's task and wait for it forever
     monkeypatch.setattr(analysis, "_oracle_worker", _worker_dying_on_one_class)
     start = time.perf_counter()
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerError, match="ended before sending all its results"):
         cross_validate(make_field(3, 1), workers=2)
     assert time.perf_counter() - start < 30
     assert_no_child_left()
@@ -709,6 +720,6 @@ def test_a_dead_worker_breaks_the_run(monkeypatch):
     monkeypatch.undo()
     real_exit = os._exit
     monkeypatch.setattr(analysis.os, "_exit", lambda status: real_exit(3))
-    with pytest.raises(BrokenProcessPool, match="exited with status 3"):
+    with pytest.raises(WorkerError, match="exited with status 3"):
         cross_validate(make_field(3, 1), workers=2)
     assert_no_child_left()

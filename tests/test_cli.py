@@ -447,7 +447,7 @@ def test_inconsistency_exits_1(monkeypatch, capsys):
     assert "inconsistency" in capsys.readouterr().err
 
 
-def _dying_worker(payload):
+def _dying_worker(pi, oracle_cap):
     os._exit(1)
 
 

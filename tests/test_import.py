@@ -1,5 +1,5 @@
 """Importing the package caps BLAS at one thread, and only by default; a
-pooled run loads no process-pool machinery."""
+pooled run, and one whose worker dies, loads no process-pool machinery."""
 
 import json
 import os
@@ -44,12 +44,23 @@ def test_numpy_imported_first_is_left_alone():
 
 def test_a_pooled_run_loads_no_pool_machinery():
     # the workers are forked directly: neither the import nor a run on two
-    # workers loads multiprocessing, and only an abort loads signal
-    code = ("import sys, schurcensus\n"
-            "schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',"
-            " 'signal') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "[]"
+    # workers loads concurrent.futures or multiprocessing, and only an
+    # abort loads signal; a worker that dies raises WorkerError, which
+    # loads none of them either
+    run = ("import sys, schurcensus\n"
+           "schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
+           "print(sorted(m for m in ('concurrent.futures', 'concurrent.futures.process',"
+           " 'multiprocessing', 'signal') if m in sys.modules))")
+    death = ("import os, sys, schurcensus\n"
+             "from schurcensus import analysis\n"
+             "analysis._oracle_worker = lambda pi, oracle_cap: os._exit(1)\n"
+             "try:\n"
+             "    schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
+             "except schurcensus.WorkerError:\n"
+             "    print(sorted(m for m in ('concurrent.futures',"
+             " 'concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+    for code in (run, death):
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]", code

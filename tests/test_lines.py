@@ -121,10 +121,17 @@ def test_partition_rejects_garbage():
             ([[0, 1, 2, 3, 4]], "4 is not a slope for GF(3^1)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             LinePartition(field, classes)
-    # a valid input in any order comes back canonical
+    # equal to the slopes 0..q, but a float or a bool is not a slope
+    for classes, message in (
+            ([[5.0], [0.0], [1], [2, 3, 4]], "slope 0.0 is not an integer"),
+            ([[5], [False], [True], [2, 3, 4]], "slope False is not an integer")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinePartition(make_field(5, 1), classes)
+    # a valid input in any order comes back canonical, numpy integers too
     pi = LinePartition(field, [[3, 1], [2, 0]])
     assert pi.classes == ((0, 2), (1, 3))
     assert str(pi) == "0,2|1,inf"
+    assert LinePartition(field, [[np.int64(3), 1], [np.int8(2), 0]]) == pi
 
 
 def test_partition_rejects_a_fractional_slope():

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import logging
 import math
 import numbers
@@ -54,7 +55,7 @@ from typing import Iterator, NamedTuple, NoReturn, Optional
 import numpy as np
 
 from .errors import InconsistencyError, PartitionFormatError, SizingError, WorkerError
-from .gf import Field
+from .gf import Field, _is_prime
 from .lines import (
     LinePartition,
     all_slopes,
@@ -88,9 +89,9 @@ def cayley_color_graph(basis: SchurBasis) -> ColorGraph:
 
 
 def translation_perms(field: Field) -> np.ndarray:
-    """The regular action of V on itself, one row per element."""
-    add, _ = group_tables(field)
-    return np.ascontiguousarray(add.T, dtype=np.int32)
+    """The regular action of V on itself: V is abelian, so row v of its
+    read-only addition table from ``schur.group_tables`` adds v."""
+    return group_tables(field)[0]
 
 
 def scalar_perms(field: Field) -> np.ndarray:
@@ -247,26 +248,27 @@ def coerce_matrix(field: Field, matrix) -> np.ndarray:
     if bad:
         raise PartitionFormatError(
             f"matrix entries must be integers, got {bad[0]!r}")
-    arr = np.array([[int(x) % field.p for x in row] for row in rows], dtype=np.int64)
-    if _rank_mod_p(arr, field.p) != dim:
+    reduced = [[int(x) % field.p for x in row] for row in rows]
+    if _rank_mod_p(reduced, field.p) != dim:
         raise ValueError("matrix is singular over the prime field")
-    return arr
+    return np.array(reduced, dtype=np.int64)
 
 
-def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    work = (matrix % p).astype(np.int64).copy()
-    rows, cols = work.shape
+def _rank_mod_p(rows, p: int) -> int:
+    """The rank over F_p of rows of Python ints in 0..p-1, eliminated as
+    lists: numpy scalars make the sieve in ``gl_matrices`` about 4x slower."""
+    work = list(rows)  # rows are replaced, never written into
     rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if work[r, col] % p), None)
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        inv = pow(int(work[rank, col]), -1, p)
-        work[rank] = work[rank] * inv % p
-        for r in range(rows):
-            if r != rank and work[r, col]:
-                work[r] = (work[r] - work[r, col] * work[rank]) % p
+        top = work[pivot]
+        work[pivot] = work[rank]
+        inv = pow(top[col], -1, p)
+        for r in range(rank + 1, len(work)):
+            if c := work[r][col] * inv % p:
+                work[r] = [(x - c * t) % p for x, t in zip(work[r], top)]
         rank += 1
     return rank
 
@@ -331,48 +333,34 @@ def verify_slope_closure(field: Field, matrix) -> ClosureReport:
 
 
 def gl_order(p: int, dim: int) -> int:
+    """|GL(dim, p)|; raises ValueError unless p is prime."""
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return math.prod(p ** dim - p ** i for i in range(dim))
 
 
 def gl_matrices(p: int, dim: int) -> Iterator[np.ndarray]:
-    """Every invertible dim x dim matrix over F_p, rows chosen outside the
-    span of the earlier ones, in lexicographic order."""
+    """Every invertible dim x dim matrix over F_p, in lexicographic order
+    of its rows: the dim-fold product of the vectors of F_p^dim, kept when
+    ``_rank_mod_p`` gives full rank.  A p that is not prime (ValueError)
+    and a group above DEFAULT_GL_CAP (SizingError) are refused at the
+    call, before the first matrix."""
     total = gl_order(p, dim)
     if total > DEFAULT_GL_CAP:
         raise SizingError(
             f"GL({dim}, {p}) has {total} elements, above the cap of "
             f"{DEFAULT_GL_CAP}")
-    vectors = [np.array(v, dtype=np.int64)
-               for v in np.ndindex(*([p] * dim))]
-
-    def rec(rows: list[np.ndarray], span: set[tuple[int, ...]]) -> Iterator[np.ndarray]:
-        if len(rows) == dim:
-            yield np.array(rows, dtype=np.int64)
-            return
-        for v in vectors:
-            key = tuple(v.tolist())
-            if key in span:
-                continue
-            grown = set(span)
-            for s in list(span):
-                base = np.array(s, dtype=np.int64)
-                for c in range(1, p):
-                    grown.add(tuple(((base + c * v) % p).tolist()))
-            yield from rec(rows + [v], grown)
-
-    zero = tuple([0] * dim)
-    return rec([], {zero})
+    vectors = list(itertools.product(range(p), repeat=dim))
+    return (np.array(rows, dtype=np.int64)
+            for rows in itertools.product(vectors, repeat=dim)
+            if _rank_mod_p(rows, p) == dim)
 
 
 def line_fixing_maps(field: Field) -> Iterator[np.ndarray]:
     """All matrices in GL(2e, p) fixing L_0, L_1 and the vertical line:
     exactly the repeated diagonal blocks diag(A, A) with A invertible."""
-    e = field.e
-    for a in gl_matrices(field.p, e):
-        sigma = np.zeros((2 * e, 2 * e), dtype=np.int64)
-        sigma[:e, :e] = a
-        sigma[e:, e:] = a
-        yield sigma
+    pair = np.eye(2, dtype=np.int64)
+    return (np.kron(pair, a) for a in gl_matrices(field.p, field.e))
 
 
 # ---------------------------------------------------------------------------

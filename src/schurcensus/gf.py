@@ -21,7 +21,8 @@ every field carries dense lookup tables (q x q for addition and
 multiplication, length q for negation, inversion and discrete logs, and
 q x e for the digits of each index), built when it is constructed; all
 element arithmetic reads them.  ``make_field`` therefore refuses fields
-above ``DEFAULT_ELEMENT_CAP`` = 512 elements.
+above ``DEFAULT_ELEMENT_CAP`` = 512 elements.  Fields are cached, so the
+tables handed out (sums, products, negatives, digits) are read-only.
 
 Matrices over F_p (the regular representation below, and the linear maps
 in other modules) are numpy integer arrays with entries reduced mod p.
@@ -117,6 +118,8 @@ class Field:
         self._inv_t = np.zeros(q, dtype=np.int32)
         self._inv_t[1:] = exp[-log[1:] % (q - 1)]
         self.zeta = int(exp[1 % (q - 1)])  # the class of x; GF(2) has only 1
+        for table in (self._add_t, self._mul_t, self._neg_t):
+            table.setflags(write=False)  # handed out, and the field is cached
 
     # -- identity ---------------------------------------------------------
 
@@ -186,17 +189,12 @@ class Field:
     def regular_representation(self, a: int) -> np.ndarray:
         """Matrix of multiplication by a on the basis 1, zeta, ..., zeta**(e-1).
 
-        Row i holds the coordinates of zeta**i * a, so coordinate row
-        vectors multiply on the right: coords(b*a) = coords(b) @ psi(a) mod p.
+        Row i holds the coordinates of zeta**i * a, read off the exp,
+        multiplication and digit tables, so coordinate row vectors multiply
+        on the right: coords(b*a) = coords(b) @ psi(a) mod p.
         This makes the map a ring homomorphism, psi(a) @ psi(b) = psi(a*b).
         """
-        self._check(a)
-        rows = []
-        zi = 1
-        for _ in range(self.e):
-            rows.append(self.coords(self.mul(zi, a)))
-            zi = self.mul(zi, self.zeta)
-        return np.array(rows, dtype=np.int64)
+        return self._digits_t[self._mul_t[self._exp[:self.e], self._check(a)]]
 
     def is_subfield(self, subset: Iterable[int]) -> bool:
         """True iff the given element indices form a subfield, that is,
@@ -218,7 +216,7 @@ class Field:
     # -- dense tables ----------------------------------------------------------
 
     def add_table(self) -> np.ndarray:
-        """q x q numpy table of sums."""
+        """Read-only q x q numpy table of sums."""
         return self._add_t
 
     def mul_table(self) -> np.ndarray:

@@ -42,8 +42,8 @@ DEFAULT_GROUP_CAP = 2048  # largest |V| we materialize an addition table for
 
 @functools.lru_cache(maxsize=None)
 def group_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Addition and negation of V on flat point indices, as (n, n) and
-    (n,) int32 arrays."""
+    """Addition and negation of V on flat point indices, as read-only
+    (n, n) and (n,) int32 arrays (they are cached per field)."""
     n = field.q ** 2
     if n > DEFAULT_GROUP_CAP:
         raise SizingError(
@@ -54,7 +54,10 @@ def group_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.divmod(np.arange(n), field.q)
     add = a[x[:, None], x[None, :]].astype(np.int64) * field.q \
         + a[y[:, None], y[None, :]]
-    return add.astype(np.int32), (neg[x] * field.q + neg[y]).astype(np.int32)
+    tables = add.astype(np.int32), (neg[x] * field.q + neg[y]).astype(np.int32)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def full_line_sum(field: Field, s: int) -> np.ndarray:

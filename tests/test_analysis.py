@@ -83,8 +83,11 @@ def test_translations_are_automorphisms():
     field = make_field(3, 1)
     basis = SchurBasis.from_partition(singleton_partition(field))
     aut = automorphism_group(cayley_color_graph(basis))
-    for t in translation_perms(field):
+    perms = translation_perms(field)
+    assert not perms.flags.writeable  # the cached group table itself
+    for v, t in enumerate(perms):
         assert t in aut
+        assert t[0] == v
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,16 @@ def test_gl_enumeration_counts():
     assert sum(1 for _ in gl_matrices(2, 3)) == 168
     assert gl_order(7, 2) == 2016
     assert gl_order(3, 4) == 24261120
+
+
+def test_gl_refuses_a_p_that_is_not_prime():
+    # Z/4 is no field: |GL(2, Z/4)| is 96, but the formula for F_p
+    # would read 180 there
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            gl_order(p, 2)
+        with pytest.raises(ValueError, match="p must be prime"):
+            gl_matrices(p, 2)  # at the call, before any iteration
 
 
 def test_gl_cap():

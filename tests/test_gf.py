@@ -216,6 +216,18 @@ def test_digit_table_rows_are_coords(p, e):
         table[0, 0] = 1
 
 
+def test_cached_tables_are_read_only():
+    # make_field caches each field, so one stray write would corrupt its
+    # arithmetic for the rest of the process
+    f = make_field(5, 1)
+    for table in (f.add_table(), f.mul_table()):
+        with pytest.raises(ValueError):
+            table[0, 0] = 3
+    with pytest.raises(ValueError):
+        f.neg_table()[1] = 1
+    assert f.add(0, 0) == 0 and f.mul(0, 0) == 0 and f.neg(1) == 4
+
+
 def has_full_order(f, a):
     """True iff the powers of a run through every unit of f."""
     return len({f.power(a, k) for k in range(f.q - 1)}) == f.q - 1
@@ -273,12 +285,15 @@ def test_gf9_representation_of_zeta():
 
 
 def test_representation_acts_on_coordinate_rows():
-    f = make_field(3, 2)
-    for a in f.elements():
-        psi = f.regular_representation(a)
-        for b in f.elements():
-            row = np.array(f.coords(b))
-            assert tuple(row @ psi % f.p) == f.coords(f.mul(b, a))
+    # by definition, e = 1 to 4: coords(b) @ psi(a) = coords(b * a) mod p
+    for p, e in TRIPLE_FIELDS:
+        f = make_field(p, e)
+        for a in f.elements():
+            psi = f.regular_representation(a)
+            assert psi.shape == (e, e)
+            for b in f.elements():
+                row = np.array(f.coords(b))
+                assert tuple(row @ psi % f.p) == f.coords(f.mul(b, a))
 
 
 # ---------------------------------------------------------------------------

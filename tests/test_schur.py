@@ -50,6 +50,16 @@ def test_group_tables_are_the_elementwise_sum(p, e):
             assert add[i, j] == sx * q + sy
 
 
+def test_group_tables_are_read_only():
+    # the tables are cached per field and shared by every caller
+    add, neg = group_tables(make_field(3, 1))
+    with pytest.raises(ValueError):
+        add[0, 0] = 1
+    with pytest.raises(ValueError):
+        neg[0] = 1
+    assert add[0, 0] == 0 and neg[0] == 0
+
+
 def test_group_table_cap():
     with pytest.raises(SizingError):
         group_tables(make_field(47, 1))  # 2209 points

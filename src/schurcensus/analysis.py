@@ -71,7 +71,7 @@ from .lines import (
 from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
 from .schur import SchurBasis, group_tables, verify_schur_axioms
 
-DEFAULT_GL_CAP = 10 ** 7  # refuse to enumerate larger general linear groups
+DEFAULT_GL_CAP = 10 ** 7  # most candidate matrices gl_matrices will sieve
 
 logger = logging.getLogger(__name__)
 
@@ -343,13 +343,13 @@ def gl_matrices(p: int, dim: int) -> Iterator[np.ndarray]:
     """Every invertible dim x dim matrix over F_p, in lexicographic order
     of its rows: the dim-fold product of the vectors of F_p^dim, kept when
     ``_rank_mod_p`` gives full rank.  A p that is not prime (ValueError)
-    and a group above DEFAULT_GL_CAP (SizingError) are refused at the
-    call, before the first matrix."""
-    total = gl_order(p, dim)
-    if total > DEFAULT_GL_CAP:
-        raise SizingError(
-            f"GL({dim}, {p}) has {total} elements, above the cap of "
-            f"{DEFAULT_GL_CAP}")
+    and more than DEFAULT_GL_CAP candidates p**(dim*dim) (SizingError,
+    before the power is formed) are refused at the call."""
+    if p <= DEFAULT_GL_CAP and not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if dim * dim > DEFAULT_GL_CAP.bit_length() or p ** (dim * dim) > DEFAULT_GL_CAP:
+        raise SizingError(f"GL({dim}, {p}) has {p}**{dim * dim} candidate matrices, "
+                          f"above the cap of {DEFAULT_GL_CAP}")
     vectors = list(itertools.product(range(p), repeat=dim))
     return (np.array(rows, dtype=np.int64)
             for rows in itertools.product(vectors, repeat=dim)
@@ -553,7 +553,7 @@ def cross_validate(field: Field, *, scope: str = "all",
             f"{field} needs the oracle on {field.q ** 2} points, above the "
             f"cap of {oracle_cap}")
     rgs = partition_array(field)
-    labels = orbit_labels(field, rgs)
+    labels = orbit_labels(field)
     predicts = condition_mask(field, rgs)
     if scope == "filtered":
         rgs, labels, predicts = rgs[predicts], labels[predicts], predicts[predicts]

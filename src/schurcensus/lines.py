@@ -36,9 +36,10 @@ row.  ``enumerate_partitions`` streams rows as checked
 per-field tuple of slope literals.
 
 Semilinear maps of V permute the lines, so PGammaL(2, q) acts on the
-slopes and on their partitions.  ``slope_symmetries`` gives generators of
-that action, and ``orbit_labels`` names each row's orbit by the index of
-its first member, working on the whole array at once.
+slopes and on their partitions.  ``slope_map`` moves the slopes by a
+2 x 2 matrix, ``slope_symmetries`` gives generators of the action, and
+``orbit_labels`` names each row's orbit by the index of its first member,
+finding the index of each image by arithmetic (see ``_image_indices``).
 """
 
 from __future__ import annotations
@@ -87,21 +88,12 @@ def parse_slope_literal(field: Field, text: str) -> int:
         f"expected 0..{field.q - 1} or {INFINITY_LITERAL!r}")
 
 
-def line_points(field: Field, s: int) -> list[tuple[int, int]]:
-    """All q points of the line with slope s (the origin included)."""
-    if s == field.q:
-        return [(0, y) for y in range(field.q)]
-    if not 0 <= s < field.q:
-        raise ValueError(f"{s} is not a slope for {field}")
-    return [(x, field.mul(s, x)) for x in range(field.q)]
-
-
 @functools.lru_cache(maxsize=None)
 def point_slopes(field: Field) -> np.ndarray:
     """The slope of the line through each flat point, as one read-only
     int32 array of length q**2; the origin, on every line, reads -1.  A
-    point (x, y) with x != 0 lies on slope s exactly when y = s*x, as in
-    ``line_points``, so row s of the multiplication table places slope s
+    point (x, y) with x != 0 lies on slope s exactly when y = s*x, so
+    row s of the multiplication table places slope s
     at the points x*q + s*x; the points with x = 0 are the vertical line q."""
     q = field.q
     slopes = np.full(q * q, q, dtype=np.int32)
@@ -236,24 +228,20 @@ class MobiusResult(NamedTuple):
     matrix: tuple[tuple[int, int], tuple[int, int]]  # acts on column vectors
 
 
-def apply_matrix_to_point(field: Field, matrix, pt: tuple[int, int]) -> tuple[int, int]:
+def slope_map(field: Field, matrix) -> tuple[int, ...]:
+    """The images of the slopes 0..q under the linear map of V with the
+    column-acting matrix ((a, b), (c, d)): the points (1, s) and (0, 1)
+    of the lines move through the field tables, and ``point_slopes``
+    reads their lines.  A singular matrix sends one to the origin, which
+    reads -1, and raises ValueError."""
+    q = field.q
+    add, mul = field.add_table(), field.mul_table()
+    x, y = np.append(np.ones(q, dtype=np.intp), 0), np.append(np.arange(q), 1)
     (a, b), (c, d) = matrix
-    x, y = pt
-    return (field.add(field.mul(a, x), field.mul(b, y)),
-            field.add(field.mul(c, x), field.mul(d, y)))
-
-
-def apply_matrix_to_slope(field: Field, matrix, s: int) -> int:
-    if s == field.q:
-        v = (0, 1)
-    else:
-        v = (1, s)
-    u, w = apply_matrix_to_point(field, matrix, v)
-    if u == 0:
-        if w == 0:
-            raise ValueError("matrix is singular")
-        return field.q
-    return field.mul(w, field.inv(u))
+    image = point_slopes(field)[add[mul[a, x], mul[b, y]] * q + add[mul[c, x], mul[d, y]]]
+    if (image < 0).any():
+        raise ValueError("matrix is singular")
+    return tuple(image.tolist())
 
 
 def mobius_normalize(pi: LinePartition) -> Optional[MobiusResult]:
@@ -284,8 +272,8 @@ def mobius_normalize(pi: LinePartition) -> Optional[MobiusResult]:
         nc, nd = gb, f.neg(f.mul(to_inf, gb))
     # the point map with that slope action: s -> (na*s + nb) / (nc*s + nd)
     matrix = ((nd, nc), (nb, na))
-    moved = LinePartition(
-        f, [[apply_matrix_to_slope(f, matrix, s) for s in cls] for cls in pi.classes])
+    image = slope_map(f, matrix)
+    moved = LinePartition(f, [[image[s] for s in cls] for cls in pi.classes])
     return MobiusResult(moved, matrix)
 
 
@@ -306,8 +294,7 @@ def slope_symmetries(field: Field) -> tuple[tuple[int, ...], ...]:
     # the slope map (a*s + b) / (c*s + d) is the matrix ((d, c), (b, a))
     matrices = [((1, 0), (f.power(f.zeta, k), 1)) for k in range(f.e)]
     matrices += [((1, 0), (0, f.zeta)), ((0, 1), (1, 0))]
-    gens = [tuple(apply_matrix_to_slope(f, m, s) for s in all_slopes(f))
-            for m in matrices]
+    gens = [slope_map(f, m) for m in matrices]
     if f.e > 1:
         gens.append(tuple(f.power(s, f.p) for s in f.elements()) + (f.q,))
     return tuple(gens)
@@ -345,7 +332,7 @@ def partition_array(field: Field) -> np.ndarray:
         raise SizingError(
             f"{field} has {n} slopes, above the census cap of {DEFAULT_CENSUS_CAP} "
             f"(Bell numbers grow too fast beyond that)")
-    rgs = np.zeros((_bell(n), n), dtype=np.int8, order="F")
+    rgs = np.zeros((_tail_counts(n)[n - 1, 0], n), dtype=np.int8, order="F")
     top = np.zeros(1, dtype=np.int8)  # the greatest class of each row so far
     for i in range(1, n):
         counts = top.astype(np.intp) + 2
@@ -361,12 +348,19 @@ def partition_array(field: Field) -> np.ndarray:
     return rgs
 
 
-def _bell(n: int) -> int:
-    """The number of partitions of an n-set, from the Bell triangle."""
-    row = [1]
-    for _ in range(n - 1):
-        row = list(itertools.accumulate(row, initial=row[-1]))
-    return row[-1]
+@functools.lru_cache(maxsize=None)
+def _tail_counts(n: int) -> np.ndarray:
+    """The read-only (n, n + 1) int64 table T: T[k, m] counts the RGS
+    tails of k entries after a prefix whose greatest class is m, so
+    T[0, m] = 1, T[k, m] = (m + 1) T[k - 1, m] + T[k - 1, m + 1] and
+    T[n - 1, 0] = Bell(n).  Row k reads row k - 1 one column further, so
+    the rows are built 2n wide and cut to n + 1."""
+    wide = np.ones((n, 2 * n), dtype=np.int64)
+    for k in range(1, n):
+        wide[k, :-1] = np.arange(1, 2 * n) * wide[k - 1, :-1] + wide[k - 1, 1:]
+    table = wide[:, :n + 1].copy()
+    table.setflags(write=False)
+    return table
 
 
 def _check_rgs(rgs: np.ndarray) -> None:
@@ -395,25 +389,6 @@ def _codes(rgs: np.ndarray) -> np.ndarray:
         codes *= n
         codes += column
     return codes
-
-
-def _first_occurrence(labels: np.ndarray) -> np.ndarray:
-    """Renumber the classes of each row in order of first occurrence, which
-    turns any labelling into its restricted growth string."""
-    rows, n = labels.shape
-    renamed = np.full(rows * n, -1, dtype=np.int8)  # (row, old class) -> new
-    opened = np.zeros(rows, dtype=np.int8)  # classes numbered so far per row
-    at = np.arange(rows) * n
-    out = np.empty_like(labels)
-    for j in range(n):
-        where = at + labels[:, j]
-        new = renamed[where]
-        fresh = new < 0
-        new[fresh] = opened[fresh]
-        renamed[where[fresh]] = new[fresh]
-        opened += fresh
-        out[:, j] = new
-    return out
 
 
 def partition_texts(field: Field, rows: np.ndarray) -> np.ndarray:
@@ -506,35 +481,14 @@ def condition_mask(field: Field, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def orbit_labels(field: Field, rgs: np.ndarray) -> np.ndarray:
-    """For each row of ``rgs``, the index of the first row of its
-    PGammaL(2, q)-orbit: rows with equal labels lie in one orbit, and the
-    label is the orbit's first partition in enumeration order.
-
-    ``rgs`` holds RGS rows in strictly increasing order and is closed
-    under the action, as ``partition_array(field)`` is; rows out of
-    order, and a missing image, raise ValueError.  Each
-    ``slope_symmetries`` generator moves every row at once (the columns
-    permuted, then renumbered by first occurrence) and the images are
-    found by binary search on the row codes.  Each row then takes the
-    least label of its images, with pointer jumping, until the least
-    index is the same on every orbit (each generator has finite order,
-    so its images reach every row of the orbit)."""
-    codes = _codes(rgs)
-    if not (np.diff(codes) > 0).all():
-        raise ValueError("the rows are not in strictly increasing order")
-    images = []
-    for g in slope_symmetries(field):
-        # slope g[s] of the image lies in the class of slope s
-        inverse = [0] * len(g)
-        for s, t in enumerate(g):
-            inverse[t] = s
-        moved = _codes(_first_occurrence(rgs[:, inverse]))
-        found = np.searchsorted(codes, moved)
-        # an image above every code would be found at len(codes)
-        if (found == len(codes)).any() or (codes[found % len(codes)] != moved).any():
-            raise ValueError("the rows are not closed under PGammaL(2, q)")
-        images.append(found)
+def orbit_labels(field: Field) -> np.ndarray:
+    """For each row of ``partition_array(field)``, the index of the first
+    row of its PGammaL(2, q)-orbit.  Each row takes the least label of
+    its images under the ``slope_symmetries`` generators, with pointer
+    jumping, until that is the same on every orbit (each generator has
+    finite order, so its images reach every row of the orbit)."""
+    rgs = partition_array(field)
+    images = _image_indices(rgs, slope_symmetries(field))
     labels = np.arange(len(rgs))
     while True:
         before = labels.copy()
@@ -543,6 +497,49 @@ def orbit_labels(field: Field, rgs: np.ndarray) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, before):
             return labels
+
+
+def _image_indices(rgs: np.ndarray, generators) -> list[np.ndarray]:
+    """For each slope permutation g, the index in ``rgs`` (every partition,
+    in lex order) of each row's image: column j of the image is column
+    argsort(g)[j] of the row, renumbered by first occurrence into an RGS
+    r.  Its index is the sum over j >= 1 of r[j] * T[n - 1 - j,
+    max(r[:j])], T from ``_tail_counts``, and max(r[:j]) + 1 is the
+    count of classes opened before column j.  So one pass over the
+    columns renumbers and sums, reading the weights by that count from T
+    behind a zero column.  At 11^1 each buffer holds 4.2 million entries,
+    so each is allocated once and written through ``out=``/``where=``:
+    temporaries left tens of MiB of freed heap resident.
+    ``renamed[where] = new`` needs no mask, as a row that opens no class
+    writes back the value it read."""
+    rows, n = rgs.shape
+    weights = np.zeros((n, n + 2), dtype=np.int64)  # [j, c]: T[n - 1 - j, c - 1]
+    weights[:, 1:] = _tail_counts(n)[::-1]
+    renamed = np.empty(rows * n, dtype=np.int8)  # (row, old class) -> new
+    offsets = np.arange(0, rows * n, n)
+    where = np.empty(rows, dtype=np.intp)
+    new = np.empty(rows, dtype=np.int8)
+    fresh = np.empty(rows, dtype=bool)
+    opened = np.empty(rows, dtype=np.intp)  # classes numbered so far per row
+    term = np.empty(rows, dtype=np.int64)
+    images = []
+    for g in generators:
+        renamed.fill(-1)
+        opened.fill(0)
+        index = np.zeros(rows, dtype=np.int64)
+        for j, s in enumerate(np.argsort(g)):
+            np.add(offsets, rgs[:, s], out=where)
+            # every index is in range, and mode "raise" would buffer out
+            np.take(renamed, where, out=new, mode="clip")
+            np.less(new, 0, out=fresh)
+            np.copyto(new, opened, where=fresh)
+            renamed[where] = new
+            np.take(weights[j], opened, out=term, mode="clip")
+            np.add(opened, fresh, out=opened)
+            np.multiply(term, new, out=term)
+            np.add(index, term, out=index)
+        images.append(index)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ class ColorGraph:
     """A complete graph on n vertices whose ordered pairs carry colors,
     as an (n, n) integer matrix.  The matrix must be symmetric and the
     diagonal must use colors of its own, so loops never mix with edges.
-    Float and bool matrices are refused, not truncated into colors."""
+    Float and bool matrices are refused, not truncated into colors, and
+    the checks run on the given dtype, so uint64 colors never wrap."""
 
     __slots__ = ("edge_colors", "n", "ncolors")
 
@@ -275,7 +276,6 @@ class ColorGraph:
         ec = np.asarray(edge_colors)
         if ec.dtype.kind not in "iu":
             raise ValueError(f"edge colors must be integers, not {ec.dtype}")
-        ec = np.ascontiguousarray(ec, dtype=np.int64)
         if ec.ndim != 2 or ec.shape[0] != ec.shape[1] or ec.shape[0] == 0:
             raise ValueError("edge colors must form a nonempty square matrix")
         if ec.min() < 0:

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by tests.
 
 Nothing here imports the package under test: polynomial arithmetic works
-on little-endian coefficient tuples, set partitions come from a plain
+on little-endian coefficient tuples, lines and their maps are listed
+point by point, set partitions come from a plain
 recursive generator, group-algebra convolution is a dict double loop,
 permutations compose as tuples, permutation groups are listed element by
 element by breadth-first closure, and the report tables are rendered one
@@ -87,6 +88,23 @@ def closure_is_subfield(subset, add, mul):
     s = set(subset)
     return ({0, 1} <= s
             and all(add(a, b) in s and mul(a, b) in s for a in s for b in s))
+
+
+def line_points(s, q, mul):
+    """The q points (x, y) of the line with slope s, the origin included:
+    y = s*x for a field element s, and x = 0 for s = q (infinity), with
+    the given multiplication on element indices."""
+    if s == q:
+        return [(0, y) for y in range(q)]
+    return [(x, mul(s, x)) for x in range(q)]
+
+
+def point_map(matrix, point, add, mul):
+    """The image of the point (x, y) under a 2 x 2 matrix over F_q acting
+    on column vectors, with the given addition and multiplication."""
+    (a, b), (c, d) = matrix
+    x, y = point
+    return add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y))
 
 
 def condition_by_definition(classes, q, is_subfield):

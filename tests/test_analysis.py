@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import naive
 from schurcensus import analysis, make_field
 from schurcensus.errors import InconsistencyError, SizingError, WorkerError
 from schurcensus.lines import (
@@ -17,10 +18,8 @@ from schurcensus.lines import (
     all_slopes,
     condition_holds,
     enumerate_partitions,
-    line_points,
     one_class_partition,
     orbit_labels,
-    partition_array,
     singleton_partition,
     singleton_slopes,
     wielandt_partition,
@@ -297,7 +296,8 @@ def test_invariant_slopes_match_the_line_point_sets(p, e):
     # the reference moves each line's point set and compares it whole
     field = make_field(p, e)
     q, dim = field.q, 2 * e
-    members = [{x * q + y for x, y in line_points(field, s)} for s in all_slopes(field)]
+    members = [{x * q + y for x, y in naive.line_points(s, q, field.mul)}
+               for s in all_slopes(field)]
     rng = np.random.default_rng(20261019)
     picked = 0
     while picked < 60:
@@ -376,6 +376,7 @@ def test_gl_enumeration_counts():
     assert sum(1 for _ in gl_matrices(3, 2)) == 48
     assert sum(1 for _ in gl_matrices(5, 2)) == 480
     assert sum(1 for _ in gl_matrices(2, 3)) == 168
+    assert sum(1 for _ in gl_matrices(2, 4)) == 20160  # 65,536 candidates
     assert gl_order(7, 2) == 2016
     assert gl_order(3, 4) == 24261120
 
@@ -393,6 +394,13 @@ def test_gl_refuses_a_p_that_is_not_prime():
 def test_gl_cap():
     with pytest.raises(SizingError):
         gl_matrices(3, 4)  # just above the default cap
+    # the cap bounds the p**(dim*dim) candidates the sieve tests, not
+    # |GL(5, 2)| = 9,999,360, so 2**25 candidates are refused at the call,
+    # and a dim far too large before the power is formed
+    assert gl_order(2, 5) < analysis.DEFAULT_GL_CAP < 2 ** 25
+    for dim in (5, 10 ** 6):
+        with pytest.raises(SizingError, match="candidate matrices"):
+            gl_matrices(2, dim)
 
 
 def test_gl_first_matrix_is_deterministic():
@@ -609,7 +617,7 @@ def test_cross_validate_runs_the_oracle_once_per_orbit(monkeypatch, caplog):
 def test_cross_validate_aborts_per_orbit(monkeypatch):
     # pretend the oracle finds the Wielandt orbit of 5^1 schurian
     field = make_field(5, 1)
-    labels = orbit_labels(field, partition_array(field)).tolist()
+    labels = orbit_labels(field).tolist()
     partitions = list(enumerate_partitions(field))
     target = labels[partitions.index(wielandt_partition(field))]
     orbit = [pi for pi, label in zip(partitions, labels) if label == target]

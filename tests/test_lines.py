@@ -14,13 +14,10 @@ from schurcensus.errors import InconsistencyError, PartitionFormatError, SizingE
 from schurcensus.lines import (
     LinePartition,
     all_slopes,
-    apply_matrix_to_point,
-    apply_matrix_to_slope,
     condition_holds,
     condition_mask,
     enumerate_partitions,
     induced_partition,
-    line_points,
     load_partition,
     mobius_normalize,
     one_class_partition,
@@ -34,6 +31,7 @@ from schurcensus.lines import (
     singleton_partition,
     singleton_slopes,
     slope_literal,
+    slope_map,
     slope_symmetries,
     wielandt_partition,
 )
@@ -56,7 +54,7 @@ def test_lines_cover_plane_and_meet_at_origin(field):
     q = field.q
     seen = {(0, 0)}
     for s in all_slopes(field):
-        pts = line_points(field, s)
+        pts = naive.line_points(s, q, field.mul)
         assert len(pts) == q and (0, 0) in pts
         for pt in set(pts) - {(0, 0)}:
             assert pt not in seen  # distinct lines share only the origin
@@ -66,8 +64,10 @@ def test_lines_cover_plane_and_meet_at_origin(field):
 
 def test_line_membership_matches_equation_gf4():
     field = make_field(2, 2)
-    # slope zeta: y = zeta * x, computed from the field's own tables
-    assert set(line_points(field, 2)) == {(0, 0), (1, 2), (2, 3), (3, 1)}
+    # slope zeta: y = zeta * x, with zeta * zeta = zeta + 1 = 3 and
+    # zeta * 3 = 1, so the punctured line is (1, 2), (2, 3), (3, 1)
+    on_zeta = np.flatnonzero(point_slopes(field) == 2).tolist()
+    assert on_zeta == [1 * 4 + 2, 2 * 4 + 3, 3 * 4 + 1]
 
 
 @pytest.mark.parametrize("field", fields(), ids=str)
@@ -77,7 +77,7 @@ def test_point_slopes_match_line_points(field):
     slopes = point_slopes(field)
     assert slopes.shape == (q * q,) and slopes[0] == -1
     for s in all_slopes(field):
-        members = {x * q + y for x, y in line_points(field, s)} - {0}
+        members = {x * q + y for x, y in naive.line_points(s, q, field.mul)} - {0}
         assert set(np.flatnonzero(slopes == s).tolist()) == members
     with pytest.raises(ValueError):
         slopes[1] = 0
@@ -263,6 +263,31 @@ def test_partition_array_is_the_reference_order():
         partition_array(make_field(13, 1))
 
 
+def test_tail_counts_give_bell_numbers_and_row_indices():
+    for n in range(1, 13):
+        table = lines._tail_counts(n)
+        assert table.shape == (n, n + 1) and table[n - 1, 0] == naive.bell(n)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    for field in fields([(2, 1), (3, 1), (2, 2), (5, 1)]):
+        rgs = partition_array(field)
+        n = field.q + 1
+        table = lines._tail_counts(n)
+        # each row's lex index, read off the table, is its position
+        for i, row in enumerate(rgs.tolist()):
+            assert sum(row[j] * table[n - 1 - j, max(row[:j])] for j in range(1, n)) == i
+        # and so is the image index of the one-pass renumbering, under
+        # the identity and under a slope order that reads the columns
+        # back to front
+        identity, reverse = tuple(range(n)), tuple(range(n))[::-1]
+        moved = lines._image_indices(rgs, [identity, reverse])
+        assert moved[0].tolist() == list(range(len(rgs)))
+        index = {pi: i for i, pi in enumerate(enumerate_partitions(field))}
+        assert moved[1].tolist() == [
+            index[LinePartition(field, [[reverse[s] for s in cls] for cls in pi.classes])]
+            for pi in enumerate_partitions(field)]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda rgs: rgs[[1, 0, *range(2, len(rgs))]],      # two rows swapped
     lambda rgs: rgs[[0, 1, 1, *range(3, len(rgs))]],   # a row repeated
@@ -380,20 +405,6 @@ def test_bulk_functions_agree_on_every_layout(p, e):
                 lines._check_rgs(rows)
 
 
-@pytest.mark.parametrize("field", fields(), ids=str)
-def test_orbit_labels_agree_on_every_layout(field):
-    rgs = partition_array(field)
-    labels = orbit_labels(field, rgs)
-    assert (orbit_labels(field, np.ascontiguousarray(rgs)) == labels).all()
-    # the orbits with an even first row, a union of orbits, so closed
-    kept = np.flatnonzero(labels % 2 == 0)
-    relabelled = np.searchsorted(kept, labels[kept])
-    for rows in (rgs[kept], np.asfortranarray(rgs[kept])):
-        assert (orbit_labels(field, rows) == relabelled).all()
-    with pytest.raises(ValueError, match="increasing order"):
-        orbit_labels(field, rgs[kept][::-1])
-
-
 # ---------------------------------------------------------------------------
 # fractional-linear normalization
 # ---------------------------------------------------------------------------
@@ -420,15 +431,36 @@ def test_mobius_moves_least_three_singletons_to_0_1_inf():
     assert res is not None
     m = singleton_slopes(res.partition)
     assert {0, 1, 5} <= m
-    assert apply_matrix_to_slope(f5, res.matrix, 2) == 0
-    assert apply_matrix_to_slope(f5, res.matrix, 3) == 1
-    assert apply_matrix_to_slope(f5, res.matrix, 4) == 5
+    assert slope_map(f5, res.matrix)[2:5] == (0, 1, 5)
 
     # M = {0, 1, 3, inf}: the three least are 0, 1, 3, so 3 goes to inf
     pi2 = LinePartition(f5, [[0], [1], [3], [5], [2, 4]])
     res2 = mobius_normalize(pi2)
-    assert apply_matrix_to_slope(f5, res2.matrix, 3) == 5
+    assert slope_map(f5, res2.matrix)[3] == 5
     assert {0, 1, 5} <= singleton_slopes(res2.partition)
+
+
+@pytest.mark.parametrize("field", fields([(2, 1), (3, 1), (2, 2), (5, 1)]), ids=str)
+def test_slope_map_matches_the_point_map(field):
+    # every 2 x 2 matrix over F_q: the invertible ones move each line's
+    # point set onto the line slope_map names, the singular ones are refused
+    q = field.q
+    lines_by_points = {frozenset(naive.line_points(s, q, field.mul)): s
+                       for s in all_slopes(field)}
+    invertible = 0
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        matrix = ((a, b), (c, d))
+        if field.mul(a, d) == field.mul(b, c):
+            with pytest.raises(ValueError, match="matrix is singular"):
+                slope_map(field, matrix)
+            continue
+        invertible += 1
+        expected = tuple(
+            lines_by_points[frozenset(naive.point_map(matrix, pt, field.add, field.mul)
+                                      for pt in naive.line_points(s, q, field.mul))]
+            for s in all_slopes(field))
+        assert slope_map(field, matrix) == expected
+    assert invertible == (q * q - 1) * (q * q - q)
 
 
 @pytest.mark.parametrize("field", fields([(5, 1), (7, 1), (2, 3), (3, 2)]), ids=str)
@@ -442,11 +474,11 @@ def test_mobius_witness_maps_lines_to_lines(field):
         assert res is not None
         assert {0, 1, q} <= singleton_slopes(res.partition)
         # the witness is a genuine point map sending lines onto lines
+        moved = slope_map(field, res.matrix)
         for s in all_slopes(field):
-            image = {apply_matrix_to_point(field, res.matrix, pt)
-                     for pt in line_points(field, s)}
-            t = apply_matrix_to_slope(field, res.matrix, s)
-            assert image == set(line_points(field, t))
+            image = {naive.point_map(res.matrix, pt, field.add, field.mul)
+                     for pt in naive.line_points(s, q, field.mul)}
+            assert image == set(naive.line_points(moved[s], q, field.mul))
         # and class sizes survive the transport
         assert sorted(map(len, res.partition.classes)) == sorted(map(len, pi.classes))
 
@@ -461,7 +493,7 @@ def test_mobius_verdict_is_fresh_not_copied():
     pi = LinePartition(f9, [[0], [1], [2], rest])
     assert not condition_holds(pi)
     res = mobius_normalize(pi)
-    assert apply_matrix_to_slope(f9, res.matrix, 2) == 9
+    assert slope_map(f9, res.matrix)[2] == 9
     assert singleton_slopes(res.partition) == {0, 1, 9}
     assert condition_holds(res.partition)
 
@@ -481,8 +513,7 @@ def test_slope_symmetries_generate_pgammal(p, e, order):
     for m in itertools.islice(itertools.combinations(all_slopes(field), 3), 20):
         rest = [s for s in all_slopes(field) if s not in m]
         res = mobius_normalize(LinePartition(field, [[s] for s in m] + [rest]))
-        assert tuple(apply_matrix_to_slope(field, res.matrix, s)
-                     for s in all_slopes(field)) in group
+        assert slope_map(field, res.matrix) in group
 
 
 @pytest.mark.parametrize("p, e, orbits", [
@@ -492,7 +523,7 @@ def test_slope_symmetries_generate_pgammal(p, e, order):
 def test_orbit_keys_count_the_orbits(p, e, orbits):
     field = make_field(p, e)
     rgs = partition_array(field)
-    labels = orbit_labels(field, rgs)
+    labels = orbit_labels(field)
     assert len(np.unique(labels)) == orbits
     # each label is the first index of its own orbit
     assert (labels <= np.arange(len(rgs))).all()
@@ -511,7 +542,7 @@ def test_orbit_keys_follow_the_symmetry():
     for field in fields([(5, 1), (2, 2), (2, 3)]):
         partitions = list(enumerate_partitions(field))
         index = {pi: i for i, pi in enumerate(partitions)}
-        labels = orbit_labels(field, partition_array(field))
+        labels = orbit_labels(field)
         for i, pi in enumerate(partitions):
             for g in slope_symmetries(field):
                 image = LinePartition(field, [[g[s] for s in cls] for cls in pi.classes])
@@ -519,18 +550,6 @@ def test_orbit_keys_follow_the_symmetry():
             # the orbit keeps the shape of the partition
             assert (sorted(map(len, partitions[labels[i]].classes))
                     == sorted(map(len, pi.classes)))
-
-
-def test_orbit_labels_need_rows_closed_under_the_action():
-    field = make_field(5, 1)
-    rgs = partition_array(field)
-    # the one-class and all-singleton partitions are orbits of their own
-    assert orbit_labels(field, rgs[1:-1]).tolist() == (orbit_labels(field, rgs)[1:-1] - 1).tolist()
-    with pytest.raises(ValueError, match="not closed"):
-        orbit_labels(field, np.delete(rgs, 5, axis=0))
-    # closed, but out of order: named as such, not as a missing image
-    with pytest.raises(ValueError, match="not in strictly increasing order"):
-        orbit_labels(field, rgs[::-1])
 
 
 # ---------------------------------------------------------------------------

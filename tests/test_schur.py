@@ -9,7 +9,6 @@ from schurcensus.errors import SizingError
 from schurcensus.lines import (
     LinePartition,
     enumerate_partitions,
-    line_points,
     one_class_partition,
     singleton_partition,
     wielandt_partition,
@@ -100,7 +99,7 @@ def test_full_line_sum_marks_the_line_points(p, e):
     q = field.q
     for s in range(q + 1):
         expect = np.zeros(q * q, dtype=np.int64)
-        for x, y in line_points(field, s):
+        for x, y in naive.line_points(s, q, field.mul):
             expect[x * q + y] = 1
         got = full_line_sum(field, s)
         assert got.dtype == np.int64 and np.array_equal(got, expect)

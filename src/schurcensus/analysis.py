@@ -118,28 +118,34 @@ def schurian_test(basis: SchurBasis, *, cap: int = DEFAULT_ORACLE_CAP) -> Oracle
     InconsistencyError if the group is not transitive, misses a
     translation or a scalar map (automorphisms of every such graph), or
     its stabilizer orbits fail to refine the classes (impossible unless
-    the machinery itself is broken).  The chain is read straight off the
-    search's generators with no closure, so a search that lost a
-    generator leaves the group too small, and these guards are the only
-    backstop against it.  Every one of the q^2 translations and q - 1
-    scalar maps is checked, not only generators of their groups: a chain
-    built from a set that is not strong need not be a group, so passing
-    on generators would prove less.  They are stacked into one int32
+    the machinery itself is broken).  The search is handed the
+    translations (``translation_perms``) and takes them as its depth-0
+    generators instead of searching for them; it raises
+    InconsistencyError itself if one of them fails its color check.  The
+    chain is read straight off the search's generators with no closure,
+    so a search that lost a generator leaves the group too small, and
+    these guards are the only backstop against it.  With the translations
+    seeded, the transitivity and translation guards check the chain built
+    from the generators, and the scalar guard still checks the search
+    below depth 0, which finds the scalar maps.  Every one of the q^2
+    translations and q - 1 scalar maps is checked, not only generators of
+    their groups: a chain built from a set that is not strong need not be
+    a group, so passing on generators would prove less.  They are stacked into one int32
     array and sifted together by ``PermGroup.member_mask``; the error
     names the first map missing, translations first.
     """
     check = verify_schur_axioms(basis)
     if not check.ok:
         raise ValueError("not a Schur ring basis: " + "; ".join(check.failures))
+    field = basis.field
     graph = cayley_color_graph(basis)
-    aut = automorphism_group(graph, cap=cap)
+    aut = automorphism_group(graph, cap=cap, translations=translation_perms(field))
     stab = aut.point_stabilizer()
     aut_order, stab_order = aut.order(), stab.order()
     if aut_order != basis.field.q ** 2 * stab_order:
         raise InconsistencyError(
             f"automorphism group of order {aut_order} is not transitive: "
             f"its stabilizer of 0 has order {stab_order}")
-    field = basis.field
     guards = np.concatenate((translation_perms(field), scalar_perms(field)))
     missing = np.flatnonzero(~aut.member_mask(guards))
     if missing.size:

@@ -26,8 +26,9 @@ that the generators found so far map a tried sibling onto (each of them
 was found at that depth or deeper, so it fixes the base above it).  That
 orbit is kept while the climb crosses a cell.  It starts as the cell's
 first vertex alone, since every generator found before the cell was found
-deeper and fixes it; a sibling with no witness adds its own orbit, and
-only a new generator rebuilds it from the siblings reached.  The
+deeper and fixes it, and grows in place: a new generator is applied to the
+points reached so far, then every generator to each point new to the
+orbit, and a sibling with no witness adds its own orbit.  The
 witness step looks below each remaining sibling for one automorphism
 sending the leftmost leaf there.  At every node it first guesses: the
 permutation mapping each cell of the path's coloring at that depth onto
@@ -38,15 +39,24 @@ colors fixes base[:d] and sends base[d] to the sibling, exactly as a leaf
 found below would; only when the guess fails does the step branch.  At a
 leaf the guess is the only candidate.  In K_n-like graphs the first guess
 at each sibling succeeds, so the one-class search visits one node per
-sibling.  The generators found at a depth d or deeper generate the
+sibling.  A caller that knows automorphisms sending 0 to every vertex in
+advance, as ``schurian_test`` knows the translations of V, hands them over
+as a table: at depth 0 the climb then takes the table's row for each
+sibling not yet reached, after the same exhaustive check, with no witness
+step below it, and every deeper cell is searched as before.  The
+generators found at a depth d or deeper generate the
 subgroup fixing base[:d] pointwise (McKay & Piperno, Practical Graph
 Isomorphism II, 2014), so they are a strong generating set along the
-base and the chain is read straight off them.  Every generator passes an
+base and the chain is read straight off them; at depth 0 the rows reach
+the whole first cell just as witnesses would.  Every generator passes an
 exhaustive color-preservation check, so the group is never too big; a
 wrongly pruned branch could still leave it too small, which is why
 ``schurian_test`` in ``analysis`` refuses a group that is not
 transitive or misses a translation or a scalar map; it sifts all of
-those maps as one stack through ``PermGroup.member_mask``.
+those maps as one stack through ``PermGroup.member_mask``.  With the
+translations seeded, the first two of those guards check the chain built
+from the generators, and the scalar guard still checks the search below
+depth 0.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizingError
+from .errors import InconsistencyError, SizingError
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +109,15 @@ def _orbit(seeds, gens) -> dict[int, tuple[int, int] | None]:
     cheaper than reading a numpy scalar, and these trees are deep with
     small layers, so the walk stays in plain Python."""
     tree: dict[int, tuple[int, int] | None] = dict.fromkeys(seeds)
-    queue = list(tree)
+    _grow(tree, list(tree), gens)
+    return tree
+
+
+def _grow(tree: dict[int, tuple[int, int] | None], queue: list[int], gens) -> None:
+    """Close the Schreier tree ``tree`` under ``gens`` in place, breadth
+    first from the points of ``queue``, which the walk appends to.  Every
+    point of the tree off ``queue`` must already have its images under
+    ``gens`` in the tree; new points get edges as in ``_orbit``."""
     indexed = list(enumerate(gens))
     for beta in queue:
         for k, g in indexed:
@@ -107,7 +125,6 @@ def _orbit(seeds, gens) -> dict[int, tuple[int, int] | None]:
             if gamma not in tree:
                 tree[gamma] = (beta, k)
                 queue.append(gamma)
-    return tree
 
 
 class _Level(NamedTuple):
@@ -383,22 +400,45 @@ def _target_cell(colors: np.ndarray):
     return np.flatnonzero(colors == big[0]) if big.size else None
 
 
-def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> PermGroup:
+def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP,
+                       translations=None) -> PermGroup:
     """The full automorphism group of an edge-colored graph, with its
     chain along the base the search individualized.
 
     Each witness node whose color histogram matches the path's first
     tries one guess, the cell-by-cell map from the path's coloring at its
     depth (stably sorted once per level) onto its own, and branches only
-    if that guess fails the exhaustive edge-color check.  The DEBUG record
-    (vertices, nodes, leaf tests, generators, order) counts every node,
-    one refinement each, and every exhaustive check as a leaf test,
-    guesses included."""
+    if that guess fails the exhaustive edge-color check.
+
+    ``translations``, when given, is an (n, n) table of automorphisms
+    known in advance whose row v sends 0 to v, such as the translations
+    of a Cayley graph; ValueError unless it is an integer table whose rows
+    send 0 to 0, 1, ..., n-1 in turn.  The climb then takes row w as the generator for each sibling
+    w of the first cell that it has not reached, after the exhaustive
+    edge-color check and with no refinement below w; every deeper cell is
+    searched as without the table.  A row that fails the check, or a base
+    that does not start at 0 (a graph with such a table is
+    vertex-transitive, so its first cell is all of it), raises
+    InconsistencyError.
+
+    The DEBUG record (vertices, nodes, leaf tests, generators, order)
+    counts every node, one refinement each, and every exhaustive check as
+    a leaf test, guesses and table rows included."""
     n = graph.n
     if n > cap:
         raise SizingError(
             f"automorphism search on {n} vertices exceeds the cap of {cap}")
+    if translations is not None:
+        translations = np.asarray(translations)
+        if (translations.shape != (n, n) or translations.dtype.kind not in "iu"
+                or not np.array_equal(translations[:, 0], np.arange(n))):
+            raise ValueError(
+                f"translations must be an ({n}, {n}) integer table whose row v "
+                f"sends 0 to v, not {translations.dtype} of shape {translations.shape}")
     ec = graph.edge_colors
+
+    def preserves(perm: np.ndarray) -> bool:
+        return np.array_equal(ec.take(perm, 0).take(perm, 1), ec)
 
     # descent: the leftmost path, its color histograms and its leaf, with
     # each level's coloring stably sorted, cell by cell in index order
@@ -413,6 +453,10 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
         orders.append(np.argsort(colors, kind="stable"))
     base = [int(cell[0]) for _, cell in path]
     nodes, tests = len(hists), 0
+    if translations is not None and n > 1 and base[:1] != [0]:
+        raise InconsistencyError(
+            f"the translations make the graph vertex-transitive, yet the "
+            f"search's base {tuple(base)} does not start at 0")
 
     def witness(colors: np.ndarray, depth: int):
         """An automorphism sending the leftmost leaf into this subtree,
@@ -427,7 +471,7 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
         tests += 1
         perm = np.empty(n, dtype=np.int32)
         perm[orders[depth]] = np.argsort(colors, kind="stable")
-        if np.array_equal(ec.take(perm, 0).take(perm, 1), ec):
+        if preserves(perm):
             return perm
         cell = _target_cell(colors)
         if cell is None:
@@ -438,9 +482,9 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
                 return found
         return None
 
-    # climb: one witness per sibling the known generators do not reach
+    # climb: one generator per sibling the known generators do not reach
     gens: list[np.ndarray] = []
-    walks: list[list[int]] = []  # the same, as lists for _orbit
+    walks: list[list[int]] = []  # the same, as lists for _grow
     for depth in reversed(range(len(path))):
         colors, cell = path[depth]
         # every generator so far was found deeper and fixes base[depth]
@@ -448,14 +492,30 @@ def automorphism_group(graph: ColorGraph, *, cap: int = DEFAULT_ORACLE_CAP) -> P
         for w in map(int, cell[1:]):
             if w in reached:
                 continue
-            found = witness(_individualized(graph, colors, w), depth + 1)
+            if depth == 0 and translations is not None:
+                tests += 1
+                found = as_permutation(n, translations[w])
+                if not preserves(found):
+                    raise InconsistencyError(
+                        f"row {w} of the translations is not an automorphism")
+            else:
+                found = witness(_individualized(graph, colors, w), depth + 1)
             if found is not None:
+                # grow the orbit: the new generator on the points reached
+                # before it, then every generator on each point new to it
+                walk = found.tolist()
                 gens.append(found)
-                walks.append(found.tolist())
-                reached = _orbit(reached, walks)
+                walks.append(walk)
+                fresh = []
+                for beta in list(reached):
+                    if (gamma := walk[beta]) not in reached:
+                        reached[gamma] = (beta, len(walks) - 1)
+                        fresh.append(gamma)
+                _grow(reached, fresh, walks)
             else:
                 # w's orbit is disjoint from the one reached so far
-                reached.update(_orbit([w], walks))
+                reached[w] = None
+                _grow(reached, [w], walks)
 
     group = PermGroup(n, gens, base=base)
     logger.debug(

@@ -10,8 +10,8 @@ import pytest
 
 import naive
 from schurcensus import perms
-from schurcensus.analysis import cayley_color_graph
-from schurcensus.errors import SizingError
+from schurcensus.analysis import cayley_color_graph, translation_perms
+from schurcensus.errors import InconsistencyError, SizingError
 from schurcensus.gf import field_from_literal
 from schurcensus.lines import (
     enumerate_partitions,
@@ -517,6 +517,23 @@ def test_search_record(caplog, make, literal, record):
     assert group.base[0] == 0
 
 
+@pytest.mark.parametrize("make,record", [
+    (one_class_partition, (25, 48, 24, 24, math.factorial(25))),
+    (wielandt_partition, (25, 8, 7, 3, 100)),
+    (singleton_partition, (25, 4, 3, 3, 100)),
+])
+def test_seeded_search_record(caplog, make, record):
+    # the translations stand in for the depth-0 witnesses: each row taken
+    # is one leaf test and one generator, with no node below it
+    caplog.set_level(logging.DEBUG, logger="schurcensus.perms")
+    field = field_from_literal("5^1")
+    basis = SchurBasis.from_partition(make(field))
+    group = automorphism_group(cayley_color_graph(basis), translations=translation_perms(field))
+    [args] = [r.args for r in caplog.records if r.name == "schurcensus.perms"]
+    assert args == record
+    assert group.base[0] == 0
+
+
 def orbit_representatives(literal):
     """The first partition of each PGammaL(2, q)-orbit, in enumeration
     order, as cross-validation picks them."""
@@ -533,9 +550,13 @@ def orbit_representatives(literal):
 def test_search_hands_over_a_strong_generating_set(literal):
     # Schreier's lemma: the generators fixing base[:i] form a strong set
     # exactly when, at every level i, each Schreier generator lies in the
-    # group of the generators fixing base[:i+1]; the chain assumes it
-    for pi in orbit_representatives(literal):
-        group = automorphism_group(cayley_color_graph(SchurBasis.from_partition(pi)))
+    # group of the generators fixing base[:i+1]; the chain assumes it, with
+    # the translations seeded or not
+    field = field_from_literal(literal)
+    for pi, table in itertools.product(orbit_representatives(literal),
+                                       (None, translation_perms(field))):
+        group = automorphism_group(cayley_color_graph(SchurBasis.from_partition(pi)),
+                                   translations=table)
         n, base = group.degree, group.base
         for i, point in enumerate(base):
             gens = [g for g in group.generators if (g[list(base[:i])] == base[:i]).all()]
@@ -548,6 +569,50 @@ def test_search_hands_over_a_strong_generating_set(literal):
                 # one row per beta: trans[g[beta]] after g after trans[beta]^-1
                 schreier = np.take_along_axis(trans[g[orbit]], g[inverses], axis=1)
                 assert deeper.member_mask(schreier).all()
+
+
+@pytest.mark.parametrize("literal", [
+    "3^1", "2^2", "5^1", "7^1",
+    pytest.param("2^3", marks=[pytest.mark.stretch, STRETCH]),
+    pytest.param("3^2", marks=[pytest.mark.stretch, STRETCH]),
+])
+def test_seeded_search_finds_the_same_group(literal):
+    field = field_from_literal(literal)
+    for pi in orbit_representatives(literal):
+        graph = cayley_color_graph(SchurBasis.from_partition(pi))
+        searched = automorphism_group(graph)
+        seeded = automorphism_group(graph, translations=translation_perms(field))
+        assert seeded.order() == searched.order(), pi
+        assert seeded.point_stabilizer().orbits() == searched.point_stabilizer().orbits(), pi
+
+
+def test_seeded_search_refuses_a_row_that_is_not_an_automorphism():
+    field = field_from_literal("5^1")
+    graph = cayley_color_graph(SchurBasis.from_partition(wielandt_partition(field)))
+    table = translation_perms(field).copy()
+    table[1] = table[1][[0, 1, 2, 3, 4] + list(range(9, 4, -1)) + list(range(10, 25))]
+    assert table[1][0] == 1
+    with pytest.raises(InconsistencyError, match="row 1 of the translations"):
+        automorphism_group(graph, translations=table)
+
+
+def test_seeded_search_refuses_a_graph_that_is_not_vertex_transitive():
+    # refinement sets the star's center 0 apart, so no table of
+    # automorphisms sending 0 to every vertex can exist
+    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    cyclic = (np.arange(4)[:, None] + np.arange(4)[None, :]) % 4
+    with pytest.raises(InconsistencyError, match="does not start at 0"):
+        automorphism_group(star, translations=cyclic)
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((4, 4), dtype=np.int64),  # row v must send 0 to v
+    np.arange(4)[:, None] + np.zeros((4, 3), dtype=np.int64),  # one column short
+    (np.arange(4)[:, None] + np.arange(4)[None, :]) % 4 * 1.0,  # floats
+])
+def test_seeded_search_takes_only_a_table_of_rows(table):
+    with pytest.raises(ValueError, match="translations must be"):
+        automorphism_group(cycle_graph(4), translations=table)
 
 
 @pytest.mark.parametrize("make,base_length", [
@@ -574,26 +639,41 @@ def test_each_level_is_closed_once(monkeypatch, make, base_length):
     assert rebuilt.order() == group.order()
 
 
-@pytest.mark.parametrize("make, orbit_calls", [
+@pytest.mark.parametrize("make, grow_calls", [
     (one_class_partition, 48),  # 24 chain levels, 24 generators
-    (wielandt_partition, 9),
+    (wielandt_partition, 9),  # 2 chain levels, 3 generators, 4 siblings with no witness
 ])
-def test_the_climb_keeps_its_orbit(monkeypatch, make, orbit_calls):
+def test_the_climb_keeps_its_orbit(monkeypatch, make, grow_calls):
     # each cell's orbit starts as its first vertex, since every generator
-    # found so far fixes it; the climb rebuilds the orbit of the siblings
-    # reached only when a generator is found, and grows it by one
-    # sibling's orbit otherwise
-    calls = []
-    orbit = perms._orbit
+    # found so far fixes it; the climb grows it in place, by a new
+    # generator's images or by one sibling's orbit, and never builds it
+    # anew: only the chain calls _orbit, and the climb's walks take every
+    # vertex of each cell but the first exactly once, seeded or not
+    field = field_from_literal("5^1")
+    graph = cayley_color_graph(SchurBasis.from_partition(make(field)))
+    cells, colors = [], perms.color_refinement(graph)
+    while (cell := perms._target_cell(colors)) is not None:
+        cells.append(len(cell))
+        colors = perms._individualized(graph, colors, int(cell[0]))
+    orbit, grow = perms._orbit, perms._grow
+    for table in (None, translation_perms(field)):
+        orbit_calls, walked = [], []
 
-    def counted(seeds, gens):
-        calls.append(seeds)
-        return orbit(seeds, gens)
+        def counted_orbit(seeds, gens):
+            orbit_calls.append(list(seeds))
+            return orbit(seeds, gens)
 
-    monkeypatch.setattr(perms, "_orbit", counted)
-    basis = SchurBasis.from_partition(make(field_from_literal("5^1")))
-    automorphism_group(cayley_color_graph(basis))
-    assert len(calls) == orbit_calls
+        def counted_grow(tree, queue, gens):
+            grow(tree, queue, gens)
+            walked.append(len(queue))
+
+        monkeypatch.setattr(perms, "_orbit", counted_orbit)
+        monkeypatch.setattr(perms, "_grow", counted_grow)
+        group = automorphism_group(graph, translations=table)
+        assert orbit_calls == [[point] for point in group.base]
+        assert len(walked) == grow_calls
+        climb = walked[:-len(group.base)]  # the chain's walks come last
+        assert sum(climb) == sum(cells) - len(cells)
 
 
 def test_search_cap():

@@ -68,7 +68,7 @@ from .lines import (
     partition_texts,
     point_slopes,
 )
-from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group
+from .perms import DEFAULT_ORACLE_CAP, ColorGraph, automorphism_group, dense_ranks
 from .schur import SchurBasis, group_tables, verify_schur_axioms
 
 DEFAULT_GL_CAP = 10 ** 7  # most candidate matrices gl_matrices will sieve
@@ -84,8 +84,7 @@ def cayley_color_graph(basis: SchurBasis) -> ColorGraph:
     """The complete graph on V with (u, v) colored by the class of v - u.
     The identity class colors exactly the diagonal."""
     add, neg = group_tables(basis.field)
-    differences = add[neg[:, None], np.arange(add.shape[0])[None, :]]
-    return ColorGraph(basis.class_of[differences])
+    return ColorGraph(basis.class_of[add[neg]])  # row u of add[neg] adds -u
 
 
 def translation_perms(field: Field) -> np.ndarray:
@@ -530,7 +529,10 @@ def cross_validate(field: Field, *, scope: str = "all",
     and its ``condition_holds`` verdict must equal its mask bit or the run
     raises InconsistencyError.  The table holds the rows as columns: the
     texts, predictions and verdicts as arrays, each row's orbit number,
-    and |Aut| once per orbit.  The moment an orbit holding a predicted
+    and |Aut| once per orbit.  The orbits are numbered 0, 1, ... in the
+    order of their first chosen rows: ``np.minimum.at`` over the labels
+    finds each first row, and ``dense_ranks`` of each row's first row is
+    its orbit number, with no sort.  The moment an orbit holding a predicted
     partition comes back schurian the whole run aborts with
     InconsistencyError, naming the first such partition.  Results are in
     enumeration order whatever the worker count.
@@ -561,14 +563,11 @@ def cross_validate(field: Field, *, scope: str = "all",
     rgs = partition_array(field)
     labels = orbit_labels(field)
     predicts = condition_mask(field, rgs)
+    first = np.full(len(rgs), len(rgs))  # label -> its orbit's first chosen row
     if scope == "filtered":
         rgs, labels, predicts = rgs[predicts], labels[predicts], predicts[predicts]
-    _, firsts, orbit = np.unique(labels, return_index=True, return_inverse=True)
-    # number the orbits by their first chosen row
-    order = np.argsort(firsts)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order))
-    firsts, orbit = firsts[order], rank[orbit]
+    np.minimum.at(first, labels, np.arange(len(rgs)))
+    firsts, orbit = dense_ranks(first[labels])
     texts = partition_texts(field, rgs)
     logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
                 field.literal, scope, len(rgs), len(firsts))
@@ -610,6 +609,6 @@ def cross_validate(field: Field, *, scope: str = "all",
         texts=texts,
         predicts=predicts,
         schurian=schurian,
-        orbit=orbit,
+        orbit=orbit.astype(np.int32),
         aut_orders=tuple(aut_orders),
     )

@@ -259,6 +259,8 @@ def _load_matrix(path: str, field: Field):
     if not isinstance(data, dict) or "matrix" not in data:
         raise PartitionFormatError(
             f"{path}: expected a JSON object with a 'matrix' key")
+    if extra := set(data) - {"field", "matrix"}:
+        raise PartitionFormatError(f"{path}: unknown keys {sorted(extra)} in matrix file")
     if "field" in data and data["field"] != field.literal:
         raise PartitionFormatError(
             f"{path}: file names field {data['field']!r} but --field "

@@ -1,7 +1,10 @@
 """Permutation groups and automorphisms of edge-colored graphs.
 
 Permutations on n points live as numpy index arrays: p[x] is the image of
-x, so a[b] applies b first, then a.  ``PermGroup`` keeps a deterministic
+x, so a[b] applies b first, then a.  ``dense_ranks`` is the one place that
+ranks integers: edge colors, vertex colors and, in ``analysis``, orbit
+numbers.  Each of those lies in 0..size-1, so it ranks them by counting
+and sorts only other values.  ``PermGroup`` keeps a deterministic
 stabilizer chain along an explicit base (0, 1, ..., n-1 unless given),
 built from a strong generating set by one orbit per level with no
 Schreier-Sims closure, as one record per level: the level's generators
@@ -84,6 +87,21 @@ def identity_perm(n: int) -> np.ndarray:
 
 def is_identity(a: np.ndarray) -> bool:
     return bool((a == np.arange(len(a), dtype=a.dtype)).all())
+
+
+def dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the integer array ``values``, ascending, and
+    each entry's rank among them as int64 of ``values``' shape, as
+    ``np.unique(values, return_inverse=True)`` gives them.  Values in
+    0..size-1 are ranked by counting, with no sort; any others, and an
+    empty array, go to ``np.unique``."""
+    flat = values.ravel()
+    if flat.size and flat.min() >= 0 and flat.max() < flat.size:
+        present = np.bincount(flat.astype(np.intp, copy=False)) > 0
+        ranks = np.add.accumulate(present, dtype=np.int64) - 1
+        return present.nonzero()[0], ranks[values]
+    distinct, ranks = np.unique(flat, return_inverse=True)
+    return distinct, ranks.reshape(values.shape).astype(np.int64, copy=False)
 
 
 def as_permutation(n: int, seq) -> np.ndarray:
@@ -285,7 +303,9 @@ class ColorGraph:
     as an (n, n) integer matrix.  The matrix must be symmetric and the
     diagonal must use colors of its own, so loops never mix with edges.
     Float and bool matrices are refused, not truncated into colors, and
-    the checks run on the given dtype, so uint64 colors never wrap."""
+    the checks run on the given dtype, so uint64 colors never wrap.  It
+    stores the ranks of the colors (``dense_ranks``) as int64, so the
+    class numbers of a Cayley color graph are stored as given."""
 
     __slots__ = ("edge_colors", "n", "ncolors")
 
@@ -302,20 +322,16 @@ class ColorGraph:
             raise ValueError(
                 f"edge colors are not symmetric: "
                 f"({u}, {v}) has {int(ec[u, v])} but ({v}, {u}) has {int(ec[v, u])}")
-        n = ec.shape[0]
         # ranking is monotone, so refinement labels do not change, and the
         # stored colors stay below n**2 however large the given ones are
-        distinct, ranks = np.unique(ec, return_inverse=True)
-        ranks = ranks.reshape(n, n).astype(np.int64, copy=False)
-        on = np.zeros(len(distinct), dtype=bool)
-        off = np.zeros(len(distinct), dtype=bool)
-        on[np.diagonal(ranks)] = True
-        off[ranks[~np.eye(n, dtype=bool)]] = True
-        if (on & off).any():
-            shared = int(distinct[np.flatnonzero(on & off)[0]])
-            raise ValueError(f"color {shared} appears both on and off the diagonal")
+        distinct, ranks = dense_ranks(ec)
+        loops = np.bincount(np.diagonal(ranks), minlength=len(distinct))
+        shared = np.flatnonzero((loops > 0) & (np.bincount(ranks.ravel()) > loops))
+        if shared.size:
+            raise ValueError(
+                f"color {int(distinct[shared[0]])} appears both on and off the diagonal")
         self.edge_colors = ranks
-        self.n = n
+        self.n = ec.shape[0]
         self.ncolors = len(distinct)
 
 
@@ -340,9 +356,9 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
 
     ``colors`` must be a 1-D integer array (or list) with one entry per
     vertex; anything else, bools and floats included, raises ValueError.
-    Colors that are already dense (nonnegative, every label up to the
-    largest present), as the search's own colorings are, are their own
-    ranks and are used as given; any other colors are ranked first.
+    The colors are ranked first by ``dense_ranks``, so colors that are
+    already dense (nonnegative, every label up to the largest present),
+    as the search's own colorings are, are their own ranks.
     """
     ec = graph.edge_colors
     n = graph.n
@@ -354,11 +370,7 @@ def color_refinement(graph: ColorGraph, colors=None) -> np.ndarray:
             raise ValueError(
                 f"colors must be a 1-D integer array of length {n}, "
                 f"not {colors.dtype} of shape {colors.shape}")
-        # max below n first, so that bincount never sees a huge label
-        if not (colors.min() >= 0 and colors.max() < n
-                and np.bincount(colors.astype(np.int64, copy=False)).all()):
-            _, colors = np.unique(colors, return_inverse=True)
-        colors = colors.astype(np.int64, copy=False)
+        colors = dense_ranks(colors)[1]
     k = int(colors.max()) + 1
     # edge colors are ranks below n**2 and colors below k <= n, so every
     # entry of the table is nonnegative and below n**3, far from overflow

@@ -13,13 +13,16 @@ import pytest
 import naive
 from schurcensus import analysis, make_field
 from schurcensus.errors import InconsistencyError, SizingError, WorkerError
+from schurcensus.gf import field_from_literal
 from schurcensus.lines import (
     LinePartition,
     all_slopes,
     condition_holds,
+    condition_mask,
     enumerate_partitions,
     one_class_partition,
     orbit_labels,
+    partition_array,
     singleton_partition,
     singleton_slopes,
     wielandt_partition,
@@ -572,6 +575,37 @@ def test_cross_validate_builds_one_partition_per_orbit(monkeypatch):
         checks.clear()
         assert cross_validate(make_field(p, e), scope=scope, workers=1).total == rows
         assert (len(inits), len(checks)) == (orbits, orbits)
+
+
+@pytest.mark.parametrize("scope", ["all", "filtered"])
+@pytest.mark.parametrize("literal", [
+    "5^1", "7^1", "2^3",
+    pytest.param("3^2", marks=[pytest.mark.stretch, STRETCH]),
+])
+def test_cross_validate_numbers_the_orbits_by_their_first_row(monkeypatch, literal, scope):
+    # the oracle gets each orbit's first chosen row, in row order, and the
+    # orbits are numbered in that order; the reference sorts the labels
+    field = field_from_literal(literal)
+    received = []
+
+    def recording(pi, oracle_cap):
+        received.append(str(pi))
+        return False, 1
+
+    monkeypatch.setattr(analysis, "_oracle_worker", recording)
+    table = cross_validate(field, scope=scope, workers=1)
+    rgs, labels = partition_array(field), orbit_labels(field)
+    if scope == "filtered":
+        chosen = condition_mask(field, rgs)
+        rgs, labels = rgs[chosen], labels[chosen]
+    _, firsts, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    assert received == [str(pi) for pi in enumerate_partitions(field, rgs[firsts[order]])]
+    assert table.orbit.dtype == np.int32
+    assert table.orbit.tolist() == number[inverse.ravel()].tolist()
+    assert len(table.aut_orders) == len(received)
 
 
 @pytest.mark.parametrize("scope", ["all", "filtered"])

@@ -439,6 +439,17 @@ def test_matrix_file_field_mismatch_exits_2(tmp_path, capsys):
     assert "3^2" in capsys.readouterr().err
 
 
+def test_matrix_file_unknown_keys_exit_2(tmp_path, capsys):
+    # a misspelt "field" key used to skip the field check
+    path = tmp_path / "frob.json"
+    path.write_text('{"feild": "3^2", "matrix": [[1, 0], [0, 1]]}')
+    assert cli.main(["invariant-slopes", "--field", "5^1",
+                     "--partition", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown keys ['feild']" in captured.err
+    assert not captured.out
+
+
 def test_inconsistency_exits_1(monkeypatch, capsys):
     def boom(field, **kwargs):
         raise InconsistencyError("partition 0|1|2,3,4|inf contradicts")

@@ -299,8 +299,29 @@ def test_color_graph_validation():
     shared = np.ones((3, 3), dtype=int)  # loops share color 1 with edges
     with pytest.raises(ValueError, match="diagonal"):
         ColorGraph(shared)
+    # loop color 2 on two diagonal entries and on an edge: with 2 loops,
+    # the bitwise ``loops & (counts > loops)`` is 2 & 1 == 0 and misses it
+    with pytest.raises(ValueError, match="color 2 appears both on and off the diagonal"):
+        ColorGraph([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
     with pytest.raises(ValueError):
         ColorGraph(np.eye(3, dtype=int) * -1)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.array([3, 0, 2, 1, 0, 3]), id="dense"),
+    pytest.param(np.array([5, 0, 5, 1, 0, 0, 2], dtype=np.uint8), id="gaps"),
+    pytest.param(np.array([40, 7, 7, 19, 3]), id="above-size"),
+    pytest.param(np.array([-3, 2, -3, 0]), id="negative"),
+    pytest.param(np.array([2 ** 63, 1, 2 ** 64 - 1, 1], dtype=np.uint64), id="uint64"),
+    pytest.param(np.array([], dtype=np.int64), id="empty"),
+    pytest.param(np.array([[4, 1, 1], [0, 8, 4]], dtype=np.int32), id="2-d"),
+])
+def test_dense_ranks_match_np_unique(values):
+    distinct, ranks = perms.dense_ranks(values)
+    expected, inverse = np.unique(values, return_inverse=True)
+    assert distinct.tolist() == expected.tolist()
+    assert ranks.tolist() == inverse.reshape(values.shape).tolist()
+    assert ranks.dtype == np.int64 and ranks.shape == values.shape
 
 
 def test_color_graph_refuses_non_integer_colors():

@@ -26,8 +26,8 @@ texts from ``lines.partition_texts`` and predictions from
 ``lines.condition_mask``; cross-validation groups them by
 ``lines.orbit_labels`` and builds only the orbit representatives.  The
 tables they return hold columns, one array per field of a row (texts,
-predictions, verdicts, orbit numbers) and |Aut| once per orbit, never a
-Python object per row.  On more than one worker the orbit representatives
+predictions, orbit numbers) and the oracle verdict and |Aut| once per
+orbit, never a Python object per row.  On more than one worker the orbit representatives
 go to children forked with ``os.fork`` once they are chosen: child j runs
 representatives j, j + workers, ... from the memory it inherits and pipes
 back one pickled verdict each, and the parent reads verdict k from child
@@ -406,8 +406,9 @@ class CrossValidation(NamedTuple):
     there aborts with InconsistencyError instead.
 
     Row i is the partition ``texts[i]`` with its prediction
-    ``predicts[i]`` and oracle verdict ``schurian[i]``; it lies in orbit
-    ``orbit[i]``, whose |Aut| is ``aut_orders[orbit[i]]``.  Orbits are
+    ``predicts[i]``; it lies in orbit ``orbit[i]``, and its oracle verdict
+    ``orbit_schurian[orbit[i]]`` and |Aut| ``aut_orders[orbit[i]]`` are
+    read through it, since the oracle runs once per orbit.  Orbits are
     numbered in the order of their first row."""
     field: str
     scope: str
@@ -418,8 +419,8 @@ class CrossValidation(NamedTuple):
     unpredicted_schurian: int
     texts: np.ndarray
     predicts: np.ndarray
-    schurian: np.ndarray
     orbit: np.ndarray
+    orbit_schurian: np.ndarray
     aut_orders: tuple[int, ...]
 
 
@@ -528,8 +529,8 @@ def cross_validate(field: Field, *, scope: str = "all",
     ``LinePartition``; its verdict and |Aut| stand for the whole orbit,
     and its ``condition_holds`` verdict must equal its mask bit or the run
     raises InconsistencyError.  The table holds the rows as columns: the
-    texts, predictions and verdicts as arrays, each row's orbit number,
-    and |Aut| once per orbit.  The orbits are numbered 0, 1, ... in the
+    texts, predictions and orbit numbers as arrays, and the verdict and
+    |Aut| once per orbit.  The orbits are numbered 0, 1, ... in the
     order of their first chosen rows: ``np.minimum.at`` over the labels
     finds each first row, and ``dense_ranks`` of each row's first row is
     its orbit number, with no sort.  The moment an orbit holding a predicted
@@ -608,7 +609,7 @@ def cross_validate(field: Field, *, scope: str = "all",
         unpredicted_schurian=int((~predicts & schurian).sum()),
         texts=texts,
         predicts=predicts,
-        schurian=schurian,
         orbit=orbit.astype(np.int32),
+        orbit_schurian=orbit_schurian,
         aut_orders=tuple(aut_orders),
     )

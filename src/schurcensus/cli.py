@@ -6,13 +6,16 @@ constants, run the schurian oracle, compute the invariant slopes of a
 linear map, cross-validate prediction against oracle over a whole field,
 and tabulate the prediction census.
 
-Reports are emitted as canonical bytes so repeated runs diff clean: JSON
-is sorted-key with two-space indent and a trailing newline, TSV has a
-fixed documented column order.  The two tables hold columns, and their
-TSV is rendered from the columns with numpy, a block of rows at a time,
-with no string or tuple built per row; JSON decodes the text column.
-Group orders are serialized as decimal strings; they overflow 64-bit
-integers as early as the rank-2 scheme on 5^2 points.
+Each subcommand returns its report, a plain document or one of the two
+tables, and ``main`` emits it once through ``emit_report``, the only code
+that knows a table's layout.  Reports are emitted as canonical bytes so
+repeated runs diff clean: JSON is sorted-key with two-space indent and a
+trailing newline, TSV has a fixed documented column order.  Both formats
+take the two tables, which hold columns: their TSV is rendered from the
+columns with numpy, a block of rows at a time, with no string or tuple
+built per row, and their JSON decodes the text column.  Group orders are
+serialized as decimal strings; they overflow 64-bit integers as early as
+the rank-2 scheme on 5^2 points.
 
 Exit status is 0 on success, 1 when a verification claim fails (a failed
 axiom check, an inconsistent schurian-test, a cross-validation
@@ -67,55 +70,75 @@ TABLE_COMMANDS = ("census", "cross-validate")
 def emit_report(report, fmt: str = "json") -> bytes | bytearray:
     """Serialize a report deterministically.
 
-    JSON accepts any plain document and is byte-stable because keys are
-    sorted.  TSV accepts only the two table types; everything else has no
-    sensible column order.  Its rows are rendered from the table's
-    columns ``lines.BLOCK_ROWS`` at a time: each row is its text bytes
-    followed by one of a few suffixes (the cells after the partition),
-    each rendered once and zero-padded.  A block is one ``np.take`` of
-    whole rows, suffixes included, with the texts written into it, and
-    dropping the zero bytes, in one ``bytes.translate`` per block, leaves
-    the lines back to back.
-    They go into one growing bytearray, which is returned as it is, so
-    the report exists once, and never also as a list of lines, one
-    joined string or a second copy as bytes.
+    Both formats take the two tables; JSON also takes any plain document.
+    This is the one place that knows a table's layout: the cells after a
+    row's partition are one of a few suffixes, picked by ``suffix_of``,
+    and both formats render those.  JSON is byte-stable because keys are
+    sorted; a table's document holds the field's provenance, the counts
+    and one row per partition.
+
+    TSV rows are rendered from the table's columns ``lines.BLOCK_ROWS`` at
+    a time: each row is its text bytes followed by its suffix, each suffix
+    rendered once and zero-padded.  A block is one ``np.take`` of whole
+    rows, suffixes included, with the texts written into it, and dropping
+    the zero bytes, in one ``bytes.translate`` per block, leaves the lines
+    back to back.  They go into one growing bytearray, which is returned
+    as it is, so the report exists once, and never also as a list of
+    lines, one joined string or a second copy as bytes.
     """
-    if fmt == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    if fmt != "tsv":
+    if fmt not in ("json", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, Census):
-        header = "partition\tcriterion_verdict\n"
-        suffixes = [f"\t{_verdict(predicts)}\n" for predicts in (False, True)]
+        counts = dict(total=report.total, predicted_nonschurian=report.predicted)
+        columns = ("criterion_verdict",)
+        cells = [(_verdict(predicts),) for predicts in (False, True)]
 
         def suffix_of(rows: slice) -> np.ndarray:
             return report.predicts[rows].astype(np.intp)
     elif isinstance(report, CrossValidation):
-        header = "partition\tcriterion_verdict\toracle_verdict\taut_order\n"
-        # one suffix per (orbit, oracle verdict, prediction), so that each
-        # row's cells come from its own columns
-        suffixes = [f"\t{_verdict(predicts)}\t{_oracle(schurian)}\t{aut_order}\n"
-                    for aut_order in report.aut_orders
-                    for schurian in (False, True) for predicts in (False, True)]
+        counts = dict(scope=report.scope, total=report.total,
+                      predicted_nonschurian=report.predicted_nonschurian,
+                      predicted_schurian=report.predicted_schurian,
+                      unpredicted_nonschurian=report.unpredicted_nonschurian,
+                      unpredicted_schurian=report.unpredicted_schurian)
+        columns = ("criterion_verdict", "oracle_verdict", "aut_order")
+        # one suffix per (orbit, prediction): the orbit fixes the oracle
+        # verdict and |Aut|
+        cells = [(_verdict(predicts), _oracle(schurian), str(aut_order))
+                 for schurian, aut_order in zip(report.orbit_schurian.tolist(),
+                                                report.aut_orders)
+                 for predicts in (False, True)]
 
         def suffix_of(rows: slice) -> np.ndarray:
-            return (report.orbit[rows].astype(np.intp) * 4
-                    + report.schurian[rows] * 2 + report.predicts[rows])
-    else:
+            return report.orbit[rows].astype(np.intp) * 2 + report.predicts[rows]
+    elif fmt == "tsv":
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
+    else:
+        return _json(report)
+    if fmt == "json":
+        templates = [dict(zip(columns, row)) for row in cells]
+        rows = [dict(templates[k], partition=text) for text, k in zip(
+            report.texts.astype(str).tolist(), suffix_of(slice(None)).tolist())]
+        return _json(dict(_provenance(field_from_literal(report.field)),
+                          **counts, rows=rows))
     texts = np.ascontiguousarray(report.texts)
     width = texts.itemsize
     # each suffix behind a run of zeros as wide as a text: one gather makes
     # the whole block, and the texts are written over the runs
-    tails = np.array([bytes(width) + text.encode("utf-8") for text in suffixes], dtype=bytes)
+    tails = np.array([bytes(width) + "".join(f"\t{cell}" for cell in row).encode("utf-8")
+                      + b"\n" for row in cells], dtype=bytes)
     tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
-    out = bytearray(header.encode("utf-8"))
+    out = bytearray("\t".join(("partition", *columns)).encode("utf-8") + b"\n")
     for start in range(0, len(texts), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = np.take(tails, suffix_of(rows), axis=0)
         block[:, :width] = texts[rows].view(np.uint8).reshape(-1, width)
         out += block.tobytes().translate(None, b"\0")
     return out
+
+
+def _json(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _verdict(predicts: bool) -> str:
@@ -140,7 +163,7 @@ def _partition_doc(pi: LinePartition) -> list[list[str]]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_schur_ring(args) -> tuple[bytes, int]:
+def _cmd_verify_schur_ring(args) -> tuple[dict, int]:
     pi = load_partition(args.partition)
     axioms = verify_schur_axioms(SchurBasis.from_partition(pi))
     identities = verify_line_sum_identities(pi)
@@ -151,10 +174,10 @@ def _cmd_verify_schur_ring(args) -> tuple[bytes, int]:
                line_identities_ok=identities.ok,
                failures=list(axioms.failures) + list(identities.failures),
                ok=ok)
-    return emit_report(doc, args.format), 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
-def _cmd_check_condition(args) -> tuple[bytes, int]:
+def _cmd_check_condition(args) -> tuple[dict, int]:
     pi = load_partition(args.partition)
     report = nonschurian_criterion(pi)
     doc = dict(_provenance(pi.field),
@@ -168,10 +191,10 @@ def _cmd_check_condition(args) -> tuple[bytes, int]:
                normalized_condition_holds=report.normalized_holds,
                witness_matrix=(None if report.matrix is None
                                else [list(row) for row in report.matrix]))
-    return emit_report(doc, args.format), 0
+    return doc, 0
 
 
-def _cmd_structure_constants(args) -> tuple[bytes, int]:
+def _cmd_structure_constants(args) -> tuple[dict, int]:
     pi = load_partition(args.partition)
     basis = SchurBasis.from_partition(pi)
     tensor = structure_constants(basis)
@@ -180,10 +203,10 @@ def _cmd_structure_constants(args) -> tuple[bytes, int]:
                rank=len(basis.blocks),
                class_sizes=[len(block) for block in basis.blocks],
                tensor=tensor.tolist())
-    return emit_report(doc, args.format), 0
+    return doc, 0
 
 
-def _cmd_schurian_test(args) -> tuple[bytes, int]:
+def _cmd_schurian_test(args) -> tuple[dict, int]:
     pi = load_partition(args.partition)
     report = analyze_partition(pi, oracle_cap=args.oracle_cap)
     doc = dict(_provenance(pi.field),
@@ -195,10 +218,10 @@ def _cmd_schurian_test(args) -> tuple[bytes, int]:
                oracle_verdict=report.oracle_verdict,
                criterion_verdict=report.criterion_verdict,
                consistent=report.consistent)
-    return emit_report(doc, args.format), 0 if report.consistent else 1
+    return doc, 0 if report.consistent else 1
 
 
-def _cmd_invariant_slopes(args) -> tuple[bytes, int]:
+def _cmd_invariant_slopes(args) -> tuple[dict, int]:
     field = field_from_literal(args.field)
     matrix = _load_matrix(args.partition, field)
     fixed = sorted(invariant_slopes(field, matrix))
@@ -206,45 +229,16 @@ def _cmd_invariant_slopes(args) -> tuple[bytes, int]:
                matrix=matrix.tolist(),
                invariant_slopes=[slope_literal(field, s) for s in fixed],
                count=len(fixed))
-    return emit_report(doc, args.format), 0
+    return doc, 0
 
 
-def _cmd_cross_validate(args) -> tuple[bytes, int]:
-    field = field_from_literal(args.field)
-    table = cross_validate(field, scope="all", oracle_cap=args.oracle_cap,
-                           workers=args.workers)
-    if args.format == "tsv":
-        return emit_report(table, "tsv"), 0
-    aut_orders = [str(aut_order) for aut_order in table.aut_orders]
-    doc = dict(_provenance(field),
-               scope=table.scope,
-               total=table.total,
-               predicted_nonschurian=table.predicted_nonschurian,
-               predicted_schurian=table.predicted_schurian,
-               unpredicted_nonschurian=table.unpredicted_nonschurian,
-               unpredicted_schurian=table.unpredicted_schurian,
-               rows=[dict(partition=text,
-                          criterion_verdict=_verdict(predicts),
-                          oracle_verdict=_oracle(schurian),
-                          aut_order=aut_orders[k])
-                     for text, predicts, schurian, k in zip(
-                         table.texts.astype(str).tolist(), table.predicts.tolist(),
-                         table.schurian.tolist(), table.orbit.tolist())])
-    return emit_report(doc), 0
+def _cmd_cross_validate(args) -> tuple[CrossValidation, int]:
+    return cross_validate(field_from_literal(args.field), oracle_cap=args.oracle_cap,
+                          workers=args.workers), 0
 
 
-def _cmd_census(args) -> tuple[bytes, int]:
-    field = field_from_literal(args.field)
-    table = census(field)
-    if args.format == "tsv":
-        return emit_report(table, "tsv"), 0
-    doc = dict(_provenance(field),
-               total=table.total,
-               predicted_nonschurian=table.predicted,
-               rows=[dict(partition=text, criterion_verdict=_verdict(predicts))
-                     for text, predicts in zip(table.texts.astype(str).tolist(),
-                                               table.predicts.tolist())])
-    return emit_report(doc), 0
+def _cmd_census(args) -> tuple[Census, int]:
+    return census(field_from_literal(args.field)), 0
 
 
 def _load_matrix(path: str, field: Field):
@@ -358,13 +352,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cap is not None and cap <= 0:
         print("error: --oracle-cap must be positive", file=sys.stderr)
         return 2
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
 
     try:
-        data, code = _HANDLERS[args.command](args)
+        report, code = _HANDLERS[args.command](args)
+        data = emit_report(report, args.format)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1

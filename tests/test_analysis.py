@@ -433,10 +433,11 @@ def census_rows(table):
 
 def cross_rows(table):
     """The cross-validation as one ``Row`` per partition, decoded from its
-    columns, with |Aut| looked up by each row's orbit."""
-    auts = [table.aut_orders[k] for k in table.orbit.tolist()]
+    columns, with the verdict and |Aut| looked up by each row's orbit."""
+    orbits = table.orbit.tolist()
     return list(map(Row, table.texts.astype(str).tolist(), table.predicts.tolist(),
-                    table.schurian.tolist(), auts))
+                    [bool(table.orbit_schurian[k]) for k in orbits],
+                    [table.aut_orders[k] for k in orbits]))
 
 
 def test_census_counts():
@@ -495,6 +496,10 @@ def test_cross_validate_q5_all():
     assert result.predicted_schurian == 0
     assert result.unpredicted_schurian \
         + result.unpredicted_nonschurian == 199
+    # the verdict is kept once per orbit, next to |Aut|
+    assert result.orbit_schurian.dtype == bool
+    assert len(result.orbit_schurian) == len(result.aut_orders) \
+        == int(result.orbit.max()) + 1 == 13
     for row in cross_rows(result):
         if row.predicts:
             assert not row.schurian

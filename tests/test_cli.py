@@ -184,10 +184,29 @@ def test_tsv_matches_the_per_row_reference(literal, scope):
         table = cross_validate(field, scope=scope, workers=1)
         expected = naive.cross_validate_tsv(zip(
             table.texts.astype(str).tolist(), table.predicts.tolist(),
-            table.schurian.tolist(), [table.aut_orders[k] for k in table.orbit.tolist()]))
+            [bool(table.orbit_schurian[k]) for k in table.orbit.tolist()],
+            [table.aut_orders[k] for k in table.orbit.tolist()]))
         if scope == "filtered" and field.q < 5:
             assert table.total == 0 and expected.count(b"\n") == 1
     assert cli.emit_report(table, "tsv") == expected
+
+
+@pytest.mark.parametrize("literal", ["2^1", "3^1", "2^2", "5^1"])
+def test_emit_report_renders_tables_as_json(tmp_path, literal):
+    # the library table through emit_report gives the bytes the CLI writes
+    field = make_field(*map(int, literal.split("^")))
+    for command, table in (
+            (["census"], analysis.census(field)),
+            (["cross-validate", "--workers", "1"], cross_validate(field, workers=1))):
+        path = tmp_path / "report.json"
+        assert cli.main([*command, "--field", literal, "--format", "json",
+                         "--output", str(path)]) == 0
+        assert cli.emit_report(table, "json") == path.read_bytes(), command
+    if field.q < 5:  # no partition is predicted, so the filtered table is empty
+        doc = json.loads(cli.emit_report(cross_validate(field, scope="filtered",
+                                                        workers=1), "json"))
+        assert doc["rows"] == [] and doc["total"] == 0
+        assert doc["field"] == literal and doc["scope"] == "filtered"
 
 
 def test_emit_report_rejects_unknown_format_and_untabular_reports():

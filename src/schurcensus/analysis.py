@@ -21,17 +21,18 @@ verdict and |Aut| are constant on PGammaL(2, q)-orbits of partitions, while
 the prediction, which pins 0, 1 and infinity, is not.  ``cross_validate``
 therefore runs the oracle once per orbit, on the orbit's first partition
 in enumeration order, and evaluates the prediction on every partition.
-Both functions read their rows off ``lines.partition_array`` in bulk,
-texts from ``lines.partition_texts`` and predictions from
-``lines.condition_mask``; cross-validation groups them by
-``lines.orbit_labels`` and builds only the orbit representatives.  The
-tables they return hold columns, one array per field of a row (texts,
-predictions, orbit numbers) and the oracle verdict and |Aut| once per
-orbit, never a Python object per row.  On more than one worker the orbit representatives
-go to children forked with ``os.fork`` once they are chosen: child j runs
-representatives j, j + workers, ... from the memory it inherits and pipes
-back one pickled verdict each, and the parent reads verdict k from child
-k % workers, in orbit order; a child that dies raises ``WorkerError``.
+Both functions read their rows off ``lines.partition_array`` in bulk and
+their predictions off ``lines.condition_mask``; cross-validation groups
+them by ``lines.orbit_labels`` and builds only the orbit representatives.
+The tables they return hold columns, one array per field of a row (the
+int8 RGS rows themselves, predictions, orbit numbers) and the oracle
+verdict and |Aut| once per orbit, never a Python object per row; the
+text of a row is report layout, rendered only by ``cli.emit_report``.
+On more than one worker the orbit representatives go to children forked
+with ``os.fork`` once they are chosen: child j runs representatives j,
+j + workers, ... from the memory it inherits and pipes back one pickled
+verdict each, and the parent reads verdict k from child k % workers, in
+orbit order; a child that dies raises ``WorkerError``.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -373,12 +374,12 @@ def line_fixing_maps(field: Field) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class Census(NamedTuple):
-    """Row i is the partition ``texts[i]`` (a fixed-width bytes array
-    from ``partition_texts``) with its prediction ``predicts[i]``."""
+    """Row i is the partition with RGS row ``rows[i]`` (the cached,
+    read-only ``partition_array``) and its prediction ``predicts[i]``."""
     field: str
     total: int
     predicted: int
-    texts: np.ndarray
+    rows: np.ndarray
     predicts: np.ndarray
 
 
@@ -395,7 +396,7 @@ def census(field: Field) -> Census:
         field=field.literal,
         total=len(rgs),
         predicted=int(predicts.sum()),
-        texts=partition_texts(field, rgs),
+        rows=rgs,
         predicts=predicts,
     )
 
@@ -405,7 +406,8 @@ class CrossValidation(NamedTuple):
     predicted_schurian cell stays zero: a run that would put anything
     there aborts with InconsistencyError instead.
 
-    Row i is the partition ``texts[i]`` with its prediction
+    Row i is the partition with int8 RGS row ``rows[i]`` (with scope
+    "all", the cached ``partition_array`` itself) and its prediction
     ``predicts[i]``; it lies in orbit ``orbit[i]``, and its oracle verdict
     ``orbit_schurian[orbit[i]]`` and |Aut| ``aut_orders[orbit[i]]`` are
     read through it, since the oracle runs once per orbit.  Orbits are
@@ -417,7 +419,7 @@ class CrossValidation(NamedTuple):
     predicted_schurian: int
     unpredicted_nonschurian: int
     unpredicted_schurian: int
-    texts: np.ndarray
+    rows: np.ndarray
     predicts: np.ndarray
     orbit: np.ndarray
     orbit_schurian: np.ndarray
@@ -529,7 +531,7 @@ def cross_validate(field: Field, *, scope: str = "all",
     ``LinePartition``; its verdict and |Aut| stand for the whole orbit,
     and its ``condition_holds`` verdict must equal its mask bit or the run
     raises InconsistencyError.  The table holds the rows as columns: the
-    texts, predictions and orbit numbers as arrays, and the verdict and
+    RGS rows, predictions and orbit numbers as arrays, and the verdict and
     |Aut| once per orbit.  The orbits are numbered 0, 1, ... in the
     order of their first chosen rows: ``np.minimum.at`` over the labels
     finds each first row, and ``dense_ranks`` of each row's first row is
@@ -569,7 +571,6 @@ def cross_validate(field: Field, *, scope: str = "all",
         rgs, labels, predicts = rgs[predicts], labels[predicts], predicts[predicts]
     np.minimum.at(first, labels, np.arange(len(rgs)))
     firsts, orbit = dense_ranks(first[labels])
-    texts = partition_texts(field, rgs)
     logger.info("cross-validate %s scope %s: %d partitions in %d orbits",
                 field.literal, scope, len(rgs), len(firsts))
 
@@ -584,13 +585,13 @@ def cross_validate(field: Field, *, scope: str = "all",
             holds = condition_holds(reps[k])
             if holds != predicts[firsts[k]]:
                 raise InconsistencyError(
-                    f"partition {texts[firsts[k]].decode()}: condition_holds gives "
+                    f"partition {reps[k]}: condition_holds gives "
                     f"{holds} but the condition mask gives {not holds}")
             predicted = np.flatnonzero(predicts & (orbit == k)) if found else ()
             if len(predicted):
                 raise InconsistencyError(
-                    f"partition {texts[predicted[0]].decode()} is predicted "
-                    f"non-schurian but the oracle finds it schurian")
+                    f"partition {partition_texts(field, rgs[predicted[:1]])[0].decode()} is "
+                    f"predicted non-schurian but the oracle finds it schurian")
             orbit_schurian[k] = found
             aut_orders.append(aut_order)
     finally:
@@ -607,7 +608,7 @@ def cross_validate(field: Field, *, scope: str = "all",
         predicted_schurian=int((predicts & schurian).sum()),
         unpredicted_nonschurian=int((~predicts & ~schurian).sum()),
         unpredicted_schurian=int((~predicts & schurian).sum()),
-        texts=texts,
+        rows=rgs,
         predicts=predicts,
         orbit=orbit.astype(np.int32),
         orbit_schurian=orbit_schurian,

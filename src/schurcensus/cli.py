@@ -11,9 +11,10 @@ tables, and ``main`` emits it once through ``emit_report``, the only code
 that knows a table's layout.  Reports are emitted as canonical bytes so
 repeated runs diff clean: JSON is sorted-key with two-space indent and a
 trailing newline, TSV has a fixed documented column order.  Both formats
-take the two tables, which hold columns: their TSV is rendered from the
-columns with numpy, a block of rows at a time, with no string or tuple
-built per row, and their JSON decodes the text column.  Group orders are
+take the two tables, which hold columns, the partitions as their RGS
+rows: their TSV is rendered from the columns with numpy, a block of rows
+at a time, with no string or tuple built per row, and their JSON decodes
+the partition texts ``lines.partition_texts`` renders.  Group orders are
 serialized as decimal strings; they overflow 64-bit integers as early as
 the rank-2 scheme on 5^2 points.
 
@@ -52,6 +53,7 @@ from .lines import (
     BLOCK_ROWS,
     LinePartition,
     load_partition,
+    partition_texts,
     partition_to_json_dict,
     singleton_slopes,
     slope_literal,
@@ -77,14 +79,18 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
     sorted; a table's document holds the field's provenance, the counts
     and one row per partition.
 
+    The tables hold their partitions as RGS rows, and this is the one
+    place that renders their texts, with ``lines.partition_texts``: the
+    whole table at once for JSON, one block of rows at a time for TSV.
+
     TSV rows are rendered from the table's columns ``lines.BLOCK_ROWS`` at
     a time: each row is its text bytes followed by its suffix, each suffix
     rendered once and zero-padded.  A block is one ``np.take`` of whole
-    rows, suffixes included, with the texts written into it, and dropping
-    the zero bytes, in one ``bytes.translate`` per block, leaves the lines
-    back to back.  They go into one growing bytearray, which is returned
-    as it is, so the report exists once, and never also as a list of
-    lines, one joined string or a second copy as bytes.
+    rows, suffixes included, with the block's texts written into it, and
+    dropping the zero bytes, in one ``bytes.translate`` per block, leaves
+    the lines back to back.  They go into one growing bytearray, which is
+    returned as it is, so the report exists once, and never also as a list
+    of lines, one joined string or a second copy as bytes.
     """
     if fmt not in ("json", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -115,24 +121,25 @@ def emit_report(report, fmt: str = "json") -> bytes | bytearray:
         raise ValueError(f"no tsv rendering for {type(report).__name__}")
     else:
         return _json(report)
+    field = field_from_literal(report.field)
     if fmt == "json":
         templates = [dict(zip(columns, row)) for row in cells]
         rows = [dict(templates[k], partition=text) for text, k in zip(
-            report.texts.astype(str).tolist(), suffix_of(slice(None)).tolist())]
-        return _json(dict(_provenance(field_from_literal(report.field)),
-                          **counts, rows=rows))
-    texts = np.ascontiguousarray(report.texts)
-    width = texts.itemsize
+            partition_texts(field, report.rows).astype(str).tolist(),
+            suffix_of(slice(None)).tolist())]
+        return _json(dict(_provenance(field), **counts, rows=rows))
+    width = partition_texts(field, report.rows[:0]).itemsize
     # each suffix behind a run of zeros as wide as a text: one gather makes
-    # the whole block, and the texts are written over the runs
+    # the whole block, and the block's texts are written over the runs
     tails = np.array([bytes(width) + "".join(f"\t{cell}" for cell in row).encode("utf-8")
                       + b"\n" for row in cells], dtype=bytes)
     tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
     out = bytearray("\t".join(("partition", *columns)).encode("utf-8") + b"\n")
-    for start in range(0, len(texts), BLOCK_ROWS):
+    for start in range(0, len(report.rows), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = np.take(tails, suffix_of(rows), axis=0)
-        block[:, :width] = texts[rows].view(np.uint8).reshape(-1, width)
+        block[:, :width] = partition_texts(field, report.rows[rows]).view(
+            np.uint8).reshape(-1, width)
         out += block.tobytes().translate(None, b"\0")
     return out
 

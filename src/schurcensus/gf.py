@@ -18,7 +18,7 @@ Each candidate polynomial is tested by one walk over the powers of x (see
 ``_power_walk``): it is primitive exactly when the walk first returns to 1
 after q - 1 steps, and the walk is then the field's exp table.  From it
 every field carries dense lookup tables (q x q for addition and
-multiplication, length q for negation, inversion and discrete logs, and
+multiplication, length q for negation and discrete logs, and
 q x e for the digits of each index), built when it is constructed; all
 element arithmetic reads them.  ``make_field`` therefore refuses fields
 above ``DEFAULT_ELEMENT_CAP`` = 512 elements.  Fields are cached, so the
@@ -115,8 +115,6 @@ class Field:
         log[exp] = np.arange(q - 1)
         self._mul_t = np.zeros((q, q), dtype=np.int32)
         self._mul_t[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        self._inv_t = np.zeros(q, dtype=np.int32)
-        self._inv_t[1:] = exp[-log[1:] % (q - 1)]
         self.zeta = int(exp[1 % (q - 1)])  # the class of x; GF(2) has only 1
         for table in (self._add_t, self._mul_t, self._neg_t):
             table.setflags(write=False)  # handed out, and the field is cached
@@ -169,11 +167,6 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul_t[self._check(a), self._check(b)])
-
-    def inv(self, a: int) -> int:
-        if self._check(a) == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self}")
-        return int(self._inv_t[a])
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k, read from the exp and log tables:

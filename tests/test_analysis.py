@@ -23,6 +23,7 @@ from schurcensus.lines import (
     one_class_partition,
     orbit_labels,
     partition_array,
+    partition_texts,
     singleton_partition,
     singleton_slopes,
     wielandt_partition,
@@ -426,16 +427,22 @@ class Row(NamedTuple):
     aut_order: int
 
 
+def row_texts(table):
+    """The text of each of the table's RGS rows, rendered as the report
+    renders it."""
+    return partition_texts(field_from_literal(table.field), table.rows).astype(str).tolist()
+
+
 def census_rows(table):
     """The census as (text, prediction) pairs, decoded from its columns."""
-    return list(zip(table.texts.astype(str).tolist(), table.predicts.tolist()))
+    return list(zip(row_texts(table), table.predicts.tolist()))
 
 
 def cross_rows(table):
     """The cross-validation as one ``Row`` per partition, decoded from its
     columns, with the verdict and |Aut| looked up by each row's orbit."""
     orbits = table.orbit.tolist()
-    return list(map(Row, table.texts.astype(str).tolist(), table.predicts.tolist(),
+    return list(map(Row, row_texts(table), table.predicts.tolist(),
                     [bool(table.orbit_schurian[k]) for k in orbits],
                     [table.aut_orders[k] for k in orbits]))
 
@@ -447,6 +454,7 @@ def test_census_counts():
         assert table.total == bell
         assert table.predicted == expect
     field = make_field(5, 1)
+    assert census(field).rows is partition_array(field)
     assert [text for text, predicts in census_rows(census(field)) if predicts] == [
         str(pi) for pi in enumerate_partitions(field)
         if nonschurian_criterion(pi).holds]
@@ -465,7 +473,7 @@ def test_census_rows_match_the_per_partition_path(p, e):
 
 
 def test_census_builds_no_partition_one_at_a_time(monkeypatch):
-    # texts and verdicts come from the array in bulk: no per-row
+    # rows and verdicts come from the array in bulk: no per-row
     # LinePartition and no condition_holds call
     calls = []
     real_condition, real_init = analysis.condition_holds, LinePartition.__init__
@@ -496,6 +504,8 @@ def test_cross_validate_q5_all():
     assert result.predicted_schurian == 0
     assert result.unpredicted_schurian \
         + result.unpredicted_nonschurian == 199
+    # the rows are the cached partition array itself, not a copy
+    assert result.rows is partition_array(field)
     # the verdict is kept once per orbit, next to |Aut|
     assert result.orbit_schurian.dtype == bool
     assert len(result.orbit_schurian) == len(result.aut_orders) \
@@ -514,6 +524,10 @@ def test_cross_validate_scope_filtered_and_workers(monkeypatch):
     seq = cross_validate(field, scope="filtered", workers=1)
     assert seq.total == seq.predicted_nonschurian == 4
     assert seq.unpredicted_schurian == seq.unpredicted_nonschurian == 0
+    # the table keeps the int8 RGS rows it chose, not their texts
+    rgs = partition_array(field)
+    assert seq.rows.dtype == np.int8
+    assert np.array_equal(seq.rows, rgs[condition_mask(field, rgs)])
     # the filtered scope has 2 orbits and "all" has 13: 5 workers leave
     # 3 with nothing to do, and 3 split the 13 orbits 5/4/4
     for scope, workers in (("filtered", 2), ("filtered", 5), ("all", 3)):

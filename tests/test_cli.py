@@ -18,7 +18,8 @@ import naive
 from schurcensus import make_field
 from schurcensus.analysis import Census, SchurianReport, cross_validate
 from schurcensus.errors import InconsistencyError
-from schurcensus.lines import LinePartition, load_partition, wielandt_partition
+from schurcensus.lines import LinePartition, load_partition, partition_texts, \
+    wielandt_partition
 from schurcensus.schur import SchurBasis, structure_constants
 from schurcensus import analysis, cli
 
@@ -160,7 +161,7 @@ def test_cross_validate_q5_json_counts(capsys):
 
 def test_emit_report_empty_census_is_header_only():
     empty = Census(field="5^1", total=0, predicted=0,
-                   texts=np.empty(0, dtype="S11"), predicts=np.empty(0, dtype=bool))
+                   rows=np.empty((0, 6), dtype=np.int8), predicts=np.empty(0, dtype=bool))
     assert cli.emit_report(empty, "tsv") == b"partition\tcriterion_verdict\n"
 
 
@@ -178,12 +179,13 @@ def test_tsv_matches_the_per_row_reference(literal, scope):
     field = make_field(*map(int, literal.split("^")))
     if scope == "census":
         table = analysis.census(field)
-        expected = naive.census_tsv(zip(table.texts.astype(str).tolist(),
-                                        table.predicts.tolist()))
+        texts = partition_texts(field, table.rows).astype(str).tolist()
+        expected = naive.census_tsv(zip(texts, table.predicts.tolist()))
     else:
         table = cross_validate(field, scope=scope, workers=1)
+        texts = partition_texts(field, table.rows).astype(str).tolist()
         expected = naive.cross_validate_tsv(zip(
-            table.texts.astype(str).tolist(), table.predicts.tolist(),
+            texts, table.predicts.tolist(),
             [bool(table.orbit_schurian[k]) for k in table.orbit.tolist()],
             [table.aut_orders[k] for k in table.orbit.tolist()]))
         if scope == "filtered" and field.q < 5:

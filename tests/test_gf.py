@@ -137,7 +137,7 @@ def test_field_axioms_exhaustive(p, e):
         assert f.add(a, f.neg(a)) == 0
         assert f.sub(a, a) == 0
     for a in f.units():
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, f.power(a, -1)) == 1
     # associativity and distributivity over all triples, via the op tables
     assert (A[A[:, :, None], idx[None, None, :]]
             == A[idx[:, None, None], A[None, :, :]]).all()
@@ -154,7 +154,7 @@ def test_field_axioms_pairs_and_sampled_triples(p, e):
         assert f.add(a, 0) == a and f.mul(a, 1) == a
         assert f.add(a, f.neg(a)) == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, f.power(a, -1)) == 1
     rng = np.random.default_rng(20260819)
     for a, b, c in rng.integers(0, f.q, size=(300, 3)):
         a, b, c = int(a), int(b), int(c)
@@ -254,8 +254,8 @@ def test_power_matches_repeated_multiplication():
 def test_power_negative_exponents():
     f = make_field(3, 2)
     for a in f.units():
-        assert f.power(a, -1) == f.inv(a)
-        assert f.power(a, -3) == f.inv(f.power(a, 3))
+        assert f.mul(a, f.power(a, -1)) == 1
+        assert f.mul(f.power(a, -3), f.power(a, 3)) == 1
     assert f.power(0, 0) == 1
     with pytest.raises(ZeroDivisionError):
         f.power(0, -1)
@@ -369,5 +369,3 @@ def test_operand_range_checks():
         f.is_subfield({0, 1, 9})
     with pytest.raises(ValueError):
         f.is_subfield({-1, 0, 1})
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)

@@ -6,7 +6,9 @@ constants, run the schurian oracle, compute the invariant slopes of a
 linear map, cross-validate prediction against oracle over a whole field,
 and tabulate the prediction census.
 
-Each subcommand returns its report, a plain document or one of the two
+Each subparser carries its handler as its ``run`` default, so the parser
+is the one list of subcommands and ``main`` calls ``args.run(args)``.
+A handler returns its report, a plain document or one of the two
 tables, and ``main`` emits it once through ``emit_report``, the only code
 that knows a table's layout.  Reports are emitted as canonical bytes so
 repeated runs diff clean: JSON is sorted-key with two-space indent and a
@@ -53,6 +55,7 @@ from .lines import (
     BLOCK_ROWS,
     LinePartition,
     load_partition,
+    parse_field_value,
     partition_texts,
     partition_to_json_dict,
     singleton_slopes,
@@ -262,22 +265,11 @@ def _load_matrix(path: str, field: Field):
             f"{path}: expected a JSON object with a 'matrix' key")
     if extra := set(data) - {"field", "matrix"}:
         raise PartitionFormatError(f"{path}: unknown keys {sorted(extra)} in matrix file")
-    if "field" in data and data["field"] != field.literal:
+    if "field" in data and parse_field_value(data["field"]) != field:
         raise PartitionFormatError(
             f"{path}: file names field {data['field']!r} but --field "
             f"says {field.literal!r}")
     return coerce_matrix(field, data["matrix"])
-
-
-_HANDLERS = {
-    "verify-schur-ring": _cmd_verify_schur_ring,
-    "check-condition": _cmd_check_condition,
-    "structure-constants": _cmd_structure_constants,
-    "schurian-test": _cmd_schurian_test,
-    "invariant-slopes": _cmd_invariant_slopes,
-    "cross-validate": _cmd_cross_validate,
-    "census": _cmd_census,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, schurian oracle, and census.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def command(name, help_text, *, field=False, partition=None, oracle=False,
+    def command(name, run, help_text, *, field=False, partition=None, oracle=False,
                 workers=False):
         cmd = sub.add_parser(name, help=help_text, description=help_text)
+        cmd.set_defaults(run=run)
         if field:
             cmd.add_argument("--field", required=True, metavar="p^e",
                              help="field literal such as 5^1 or 3^2")
@@ -318,31 +311,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     partition_help = "partition file: " \
                      '{"field": "5^1", "classes": [["inf"], ["0"], ...]}'
-    command("verify-schur-ring",
+    command("verify-schur-ring", _cmd_verify_schur_ring,
             "check the Schur ring axioms and the closed product formulas "
             "for a partition's class sums",
             partition=partition_help)
-    command("check-condition",
+    command("check-condition", _cmd_check_condition,
             "evaluate the non-schurian prediction on a partition, as given "
             "and after moving its three least singleton slopes to 0, 1, inf",
             partition=partition_help)
-    command("structure-constants",
+    command("structure-constants", _cmd_structure_constants,
             "print the full structure constant tensor of a partition's "
             "Schur ring",
             partition=partition_help)
-    command("schurian-test",
+    command("schurian-test", _cmd_schurian_test,
             "decide schurianness by automorphism group oracle and compare "
             "with the prediction",
             partition=partition_help, oracle=True)
-    command("invariant-slopes",
+    command("invariant-slopes", _cmd_invariant_slopes,
             "list the lines a linear map carries onto themselves",
             field=True,
             partition='matrix file: {"matrix": [[...]]} with rows over F_p')
-    command("cross-validate",
+    command("cross-validate", _cmd_cross_validate,
             "run prediction and oracle over every partition of a field's "
             "slopes and tabulate the verdict pairs",
             field=True, oracle=True, workers=True)
-    command("census",
+    command("census", _cmd_census,
             "tabulate the prediction over every partition of a field's "
             "slopes (no oracle runs)",
             field=True)
@@ -352,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.format == "tsv" and args.command not in TABLE_COMMANDS:
-        print("error: tsv output is only available for census and "
-              "cross-validate", file=sys.stderr)
+        print("error: tsv output is only available for "
+              + " and ".join(TABLE_COMMANDS), file=sys.stderr)
         return 2
     cap = getattr(args, "oracle_cap", None)
     if cap is not None and cap <= 0:
@@ -361,7 +354,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, code = args.run(args)
         data = emit_report(report, args.format)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)

@@ -11,9 +11,10 @@ modules look up which line a point lies on.
 
 A ``LinePartition`` groups the slopes into classes.  Pulling each class
 back to the union of its punctured lines (and adding the origin as its own
-cell) induces a partition of V that downstream modules turn into a Schur
-ring basis.  The distinguished slope set M of a partition collects the
-slopes whose class is a singleton.
+cell) induces a partition of V, the Schur ring basis that
+``schur.SchurBasis.from_partition`` reads off ``point_slopes``.  The
+distinguished slope set M of a partition collects the slopes whose class
+is a singleton.
 
 A census visits all Bell(q + 1) partitions, so they are held in bulk:
 ``partition_array`` is one int8 array with a restricted growth string
@@ -102,14 +103,6 @@ def point_slopes(field: Field) -> np.ndarray:
     slopes[0] = -1
     slopes.setflags(write=False)
     return slopes
-
-
-@functools.lru_cache(maxsize=None)
-def _punctured_index_cache(field: Field) -> tuple[tuple[int, ...], ...]:
-    """The points of each punctured line, slope by slope, in index order:
-    a stable sort by slope puts the origin first, then each line in turn."""
-    order = np.argsort(point_slopes(field), kind="stable")[1:]
-    return tuple(map(tuple, order.reshape(field.q + 1, field.q - 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +197,6 @@ def condition_holds(pi: LinePartition) -> bool:
     if classes[0] != (0,) or classes[1] != (1,) or classes[-1] != (inf,):
         return False
     return not pi.field.is_subfield(singleton_slopes(pi) - {inf})
-
-
-def induced_partition(pi: LinePartition) -> tuple[tuple[int, ...], ...]:
-    """The induced partition of V as point-index blocks: the origin alone
-    first, then one block per class, each of size |class| * (q - 1)."""
-    lines = _punctured_index_cache(pi.field)
-    blocks = [(0,)]
-    for cls in pi.classes:
-        merged: list[int] = []
-        for s in cls:
-            merged.extend(lines[s])
-        blocks.append(tuple(sorted(merged)))
-    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +586,7 @@ def parse_partition(data) -> LinePartition:
         raw_classes = data["classes"]
     except KeyError as exc:
         raise PartitionFormatError(f"partition file misses key {exc}") from None
-    if not isinstance(literal, str):
-        raise PartitionFormatError("'field' must be a string like '5^1'")
-    try:
-        field = field_from_literal(literal)
-    except ValueError as exc:
-        raise PartitionFormatError(f"bad 'field' value: {exc}") from None
+    field = parse_field_value(literal)
     if (not isinstance(raw_classes, list)
             or not all(isinstance(c, list) for c in raw_classes)):
         raise PartitionFormatError("'classes' must be a list of lists of slope literals")
@@ -623,6 +598,18 @@ def parse_partition(data) -> LinePartition:
         return LinePartition(field, classes)
     except ValueError as exc:
         raise PartitionFormatError(str(exc)) from None
+
+
+def parse_field_value(literal) -> Field:
+    """The field a partition or matrix file names under "field": a string
+    parsed as ``--field`` is, so "3^02" is 3^2.  Anything else, or a bad
+    or oversized literal, raises PartitionFormatError."""
+    if not isinstance(literal, str):
+        raise PartitionFormatError("'field' must be a string like '5^1'")
+    try:
+        return field_from_literal(literal)
+    except ValueError as exc:
+        raise PartitionFormatError(f"bad 'field' value: {exc}") from None
 
 
 def load_partition(path) -> LinePartition:

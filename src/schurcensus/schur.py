@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SizingError
 from .gf import Field
-from .lines import LinePartition, induced_partition, point_slopes
+from .lines import LinePartition, point_slopes
 
 DEFAULT_GROUP_CAP = 2048  # largest |V| we materialize an addition table for
 
@@ -109,7 +109,19 @@ class SchurBasis:
 
     @classmethod
     def from_partition(cls, pi: LinePartition) -> "SchurBasis":
-        return cls(pi.field, induced_partition(pi))
+        """The basis a line partition induces: the origin alone, then each
+        class of slopes pulled back to the union of its punctured lines.
+        One walk over ``point_slopes`` puts each point in the block of its
+        slope's class; the origin reads -1, the last entry of
+        ``block_of``, and goes alone into block 0."""
+        block_of = [0] * (pi.field.q + 2)
+        for k, slopes in enumerate(pi.classes, 1):
+            for s in slopes:
+                block_of[s] = k
+        blocks: list[list[int]] = [[] for _ in range(len(pi.classes) + 1)]
+        for p, s in enumerate(point_slopes(pi.field).tolist()):
+            blocks[block_of[s]].append(p)
+        return cls(pi.field, blocks)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SchurBasis)

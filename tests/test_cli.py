@@ -257,6 +257,63 @@ def test_census_tsv_matches_its_recorded_digest(tmp_path, literal, rows, digest)
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# the files the workflow writes inline for its console-script checks
+INLINE_FILES = {
+    "inf-third-q5.json":
+        '{"field": "5^1", "classes": [["2"], ["3"], ["inf"], ["0", "1", "4"]]}',
+    "inf-third-q9.json":
+        '{"field": "3^2", "classes": [["1"], ["2"], ["inf"], '
+        '["0", "3", "4", "5", "6", "7", "8"]]}',
+    "frobenius.json":
+        '{"field": "3^2", "matrix": [[1, 0, 0, 0], [2, 2, 0, 0], [0, 0, 1, 0], '
+        '[0, 0, 2, 2]]}',
+    "frobenius8.json":
+        '{"field": "2^3", "matrix": [[1,0,0,0,0,0],[0,0,1,0,0,0],[1,1,1,0,0,0],'
+        '[0,0,0,1,0,0],[0,0,0,0,0,1],[0,0,0,1,1,1]]}',
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["schurian-test", "--partition", fixture("one-class-q11.json"),
+      "--oracle-cap", "121"],
+     "4d3cd14faa2b5e75331fd8955eb53a09eeb4bab8cab810f69f1c46a16ab5f250"),
+    (["check-condition", "--partition", fixture("singleton-q8.json")],
+     "d479a904c313c620d03a75d1e4eb42ed56c1c82259de9bf6e417e54472f8b3e4"),
+    (["check-condition", "--partition", fixture("singleton-q9.json")],
+     "680c6a52cbdf08c5f438adcb6c30aedb3663913b73287503645d2592bab42596"),
+    (["check-condition", "--partition", fixture("wielandt-q5.json")],
+     "6b9fd4567085dd592e1d0c240f9aec21c07029b70a4e47856dac2c4075f6ac7d"),
+    (["check-condition", "--partition", "inf-third-q5.json"],
+     "cd12f7d8e626acadc4cf2114719d59311dd31430fcc0449d76a76d450f9b9546"),
+    (["check-condition", "--partition", "inf-third-q9.json"],
+     "5aadfdcbc21d2b3aa91ed65886169b6ed201b8806ee51c492ee068377c99a529"),
+    (["verify-schur-ring", "--partition", fixture("wielandt-q5.json")],
+     "7e4fb329f2410803a4e8f421bab427333b57317f4277879f64e82a8fa84fc091"),
+    (["structure-constants", "--partition", fixture("singleton-q9.json")],
+     "6e56e57ee14616768c1998cd0b013029d80ce5a0c46e9f6825789d2ab14322ba"),
+    (["invariant-slopes", "--field", "3^2", "--partition", "frobenius.json"],
+     "af4881c08c8345a74aa22517cf272258056c3e0745834c10003f97aa79d8f64a"),
+    (["invariant-slopes", "--field", "2^3", "--partition", "frobenius8.json"],
+     "a0a7e8f2206f5275bd933baa940cd347ebb107e27a9a28d9b70521d51a263a07"),
+    (["cross-validate", "--field", "5^1", "--workers", "1"],
+     "63ccbe0157e76f6e1deabc64aad4092afadbeed83c36cbb2c24f14bc38e98049"),
+    (["cross-validate", "--field", "7^1", "--workers", "1"],
+     "8b3c81d47c55957a3b6f53a4712eea4b9ad756e491d0b6704c9df751ffaff185"),
+    (["census", "--field", "7^1"],
+     "a599b3f185084a46e9f480140d697b79714a977bc60fbd67676b5de52f212b75"),
+], ids=["st-q11", "cc-q8", "cc-q9", "cc-wielandt-q5", "cc-inf-third-q5",
+        "cc-inf-third-q9", "vsr-q5", "sc-q9", "is-q9", "is-q8", "xv-q5-json",
+        "xv-q7-json", "census-q7-json"])
+def test_console_script_documents_match_their_digests(tmp_path, argv, digest):
+    # the JSON bytes the workflow's console-script steps pin, in process
+    for name, text in INLINE_FILES.items():
+        (tmp_path / name).write_text(text + "\n")
+    argv = [str(tmp_path / arg) if arg in INLINE_FILES else arg for arg in argv]
+    path = tmp_path / "report.json"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_reports_leave_numpy_ma_unimported(tmp_path):
     # np.unique with no index output, and np.isin on an empty array, which
     # calls it, import numpy.ma: about 14 ms in every fresh process
@@ -458,6 +515,26 @@ def test_matrix_file_field_mismatch_exits_2(tmp_path, capsys):
     assert cli.main(["invariant-slopes", "--field", "5^1",
                      "--partition", str(path)]) == 2
     assert "3^2" in capsys.readouterr().err
+
+
+def test_matrix_file_field_is_parsed_as_a_literal(tmp_path, capsys):
+    # the "field" key reads as --field and as a partition file's key does
+    matrix = [[1, 0, 0, 0], [2, 2, 0, 0], [0, 0, 1, 0], [0, 0, 2, 2]]
+    path = tmp_path / "frob.json"
+
+    def run(field, *key):
+        path.write_text(json.dumps(dict(zip(("field",), key), matrix=matrix)))
+        code = cli.main(["invariant-slopes", "--field", field, "--partition", str(path)])
+        return code, capsys.readouterr()
+
+    code, plain = run("3^2")
+    assert code == 0 and plain.out
+    for field, key in (("3^2", "3^02"), ("3^2", " 3^2"), ("3^02", "3^02")):
+        assert run(field, key) == (0, plain), (field, key)
+    for key in (9, "3^x"):
+        code, captured = run("3^2", key)
+        assert code == 2, key
+        assert captured.err.strip() and not captured.out, key
 
 
 def test_matrix_file_unknown_keys_exit_2(tmp_path, capsys):

@@ -17,7 +17,6 @@ from schurcensus.lines import (
     condition_holds,
     condition_mask,
     enumerate_partitions,
-    induced_partition,
     load_partition,
     mobius_normalize,
     one_class_partition,
@@ -35,6 +34,7 @@ from schurcensus.lines import (
     slope_symmetries,
     wielandt_partition,
 )
+from schurcensus.schur import SchurBasis
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 STRETCH = pytest.mark.skipif(os.environ.get("SCHURCENSUS_STRETCH") != "1",
@@ -140,17 +140,34 @@ def test_partition_rejects_a_fractional_slope():
         LinePartition(make_field(3, 1), [[0, 0.5, 1, 2]])
 
 
+def naive_basis(pi):
+    """The induced basis point by point: the origin alone, then each
+    class's punctured lines, from ``naive.line_points``."""
+    q = pi.field.q
+    blocks = [[0]]
+    for cls in pi.classes:
+        points = [pt for s in cls for pt in naive.line_points(s, q, pi.field.mul)]
+        blocks.append([x * q + y for x, y in points if (x, y) != (0, 0)])
+    return SchurBasis(pi.field, blocks)
+
+
 @pytest.mark.parametrize("field", fields(), ids=str)
 def test_induced_partition_shapes(field):
-    pi = wielandt_partition(field) if field.q >= 5 else one_class_partition(field)
-    blocks = induced_partition(pi)
-    assert blocks[0] == (0,)
-    assert len(blocks) == len(pi.classes) + 1
-    for cls, block in zip(pi.classes, blocks[1:]):
-        assert len(block) == len(cls) * (field.q - 1)
-        assert block == tuple(sorted(block))
-    flat = sorted(i for b in blocks for i in b)
-    assert flat == list(range(field.q ** 2))
+    # the Wielandt or one-class ring at every field, and at 5^1 every
+    # partition; the basis orders its blocks by least point, so the class
+    # holding infinity, which owns point 1, comes right after the origin
+    pis = [wielandt_partition(field) if field.q >= 5 else one_class_partition(field)]
+    if field.q == 5:
+        pis = list(enumerate_partitions(field))
+    for pi in pis:
+        basis = SchurBasis.from_partition(pi)
+        assert basis == naive_basis(pi), str(pi)
+        assert basis.blocks[0] == (0,)
+        assert len(basis.blocks) == len(pi.classes) + 1
+        assert sorted(map(len, basis.blocks[1:])) == sorted(
+            len(cls) * (field.q - 1) for cls in pi.classes)
+        at_infinity = next(cls for cls in pi.classes if field.q in cls)
+        assert len(basis.blocks[1]) == len(at_infinity) * (field.q - 1)
 
 
 def test_singleton_slopes_and_condition():

@@ -28,11 +28,14 @@ The tables they return hold columns, one array per field of a row (the
 int8 RGS rows themselves, predictions, orbit numbers) and the oracle
 verdict and |Aut| once per orbit, never a Python object per row; the
 text of a row is report layout, rendered only by ``cli.emit_report``.
-On more than one worker the orbit representatives go to children forked
-with ``os.fork`` once they are chosen: child j runs representatives j,
-j + workers, ... from the memory it inherits and pipes back one pickled
-verdict each, and the parent reads verdict k from child k % workers, in
-orbit order; a child that dies raises ``WorkerError``.
+On w workers this process runs the oracle too, beside w - 1 children
+forked with ``os.fork`` once the orbit representatives are chosen; every
+process claims the next unclaimed representative from one shared queue,
+a pipe of claim tokens, so the shares follow the speed of each process,
+and the children read the representatives from the memory they inherit
+and pipe back one pickled verdict each.  The verdicts are checked in
+orbit order; a child that dies raises ``WorkerError``.  One worker is the
+same loop with no fork.
 
 The linear-map helpers make the subfield obstruction concrete: a matrix in
 GL(2e, p) fixing the lines of slope 0, 1 and infinity must be a pair of
@@ -51,6 +54,7 @@ import math
 import numbers
 import os
 import pickle
+import select
 from typing import Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
@@ -441,80 +445,178 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(run, items, write_fd: int) -> NoReturn:
-    """The body of a forked worker: call ``run`` on each item and write
-    each result, or the exception it raised, to the pipe as one pickled
-    (ok, value) record, stopping after an exception.  Exit 0 after the
-    last record and 1 on any failure to send one; ``os._exit`` skips the
-    parent's cleanup and buffers, which belong to the parent."""
+def _claim(claims: int, per: int, total: int) -> range:
+    """The next run of up to ``per`` items from the claim pipe ``claims``,
+    read as one 4-byte token; empty once the pipe is drained.  Every read
+    takes a whole token: the tokens were written in one write of at most
+    PIPE_BUF bytes, and every reader reads 4 bytes at a time."""
+    token = os.read(claims, 4)
+    start = int.from_bytes(token, "little") if token else total
+    return range(start, min(start + per, total))
+
+
+def _attempt(run, item) -> tuple[bool, object]:
+    try:
+        return True, run(item)
+    except Exception as exc:
+        return False, exc
+
+
+def _frame(record: tuple) -> bytes:
+    """A record for a result pipe: pickled whole first, so a record that
+    cannot be pickled leaves no partial bytes in the pipe, and prefixed
+    with its 4-byte length."""
+    data = pickle.dumps(record)
+    return len(data).to_bytes(4, "little") + data
+
+
+def _serve(run, items: list, claims: int, per: int, write_fd: int) -> NoReturn:
+    """The body of a forked worker: claim runs of items from the claim
+    pipe until it is drained, announce each run as a (start, None, stop)
+    record, call ``run`` on each item k and send its result, or the
+    exception it raised, as a (k, ok, value) record; after an exception
+    it claims nothing more.  Exit 0 after the last record and 1 on any
+    failure to send one; ``os._exit`` skips the parent's cleanup and
+    buffers, which belong to the parent."""
     status = 1
     try:
         gc.freeze()  # no collection here writes to, and so copies, the parent's pages
         with open(write_fd, "wb") as out:
-            for item in items:
-                try:
-                    record = (True, run(item))
-                except Exception as exc:
-                    record = (False, exc)
-                # pickled whole first, so a record that cannot be pickled
-                # leaves no partial bytes in the pipe
-                out.write(pickle.dumps(record))
+            ok = True
+            while ok and (held := _claim(claims, per, len(items))):
+                out.write(_frame((held.start, None, held.stop)))
                 out.flush()
-                if not record[0]:
-                    break
+                for k in held:
+                    ok, value = _attempt(run, items[k])
+                    out.write(_frame((k, ok, value)))
+                    out.flush()
+                    if not ok:
+                        break
         status = 0
     finally:
         os._exit(status)
 
 
-def _forked_results(run, items: list, workers: int) -> Iterator:
-    """``map(run, items)`` from ``workers`` forked children: child j runs
-    items j, j + workers, ..., read from the memory it inherits, and
-    result k is read from child k % workers.
+def _forked_results(run, items: list, workers: int, ran: list) -> Iterator:
+    """``map(run, items)`` on ``workers`` processes: this one and
+    ``workers - 1`` forked children, which read the items from the memory
+    they inherit.  Every process claims the next unclaimed run of items
+    from one shared pipe of claim tokens, written before the first fork,
+    so whichever process is free takes the next item and this one may run
+    them all before a child starts.  There are at most PIPE_BUF / 4 tokens,
+    so the one write never blocks; with more items, each token stands for
+    a run of consecutive items.  Between its own items this process reads
+    whatever records the children have sent without blocking; it waits
+    for them only when nothing is left to claim.  ``ran[j]`` counts the
+    items process j ran, this one first.
 
-    An exception a child sends is raised here with its type and message; a
-    child that ends before its last record, or exits with a nonzero
-    status, raises WorkerError.  Every child is reaped with
-    ``waitpid`` however the generator ends, so its CPU time counts in the
-    RUSAGE_CHILDREN of this process; when the results are not all read
-    (an error, or ``close()`` from the caller) the children are killed
-    first."""
-    readers, pids = [], []
+    Results are yielded in item order, each as soon as it is known.  An
+    exception, raised here or sent by a child, is raised here with its
+    type and message when its item's turn comes; the process that raised
+    it claims nothing more.  Each child announces every run it claims, so
+    a child whose pipe ends before every item it claimed has been
+    reported raises WorkerError at the turn of the first such item; so
+    does a child that exits with a nonzero status, after the last result.
+    Every child is reaped with ``waitpid`` however the
+    generator ends, so its CPU time counts in the RUSAGE_CHILDREN of this
+    process; when the results are not all read (an error, or ``close()``
+    from the caller) the children are killed first."""
+    total = len(items)
+    per = max(1, -(-total // (getattr(select, "PIPE_BUF", 512) // 4)))
+    results = {}  # item -> (ok, value), until its turn
+    pipes = {}  # read end -> (process index, unread bytes)
+    held = {}  # process index -> the items it claimed and has not reported
+    pids = []  # of processes 1, 2, ...
+    codes = {}  # pid -> exit code, once its pipe has ended
     received = False
+
+    def read_records(timeout: Optional[float]) -> None:
+        for fd in select.select(list(pipes), [], [], timeout)[0]:
+            j, unread = pipes[fd]
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                del pipes[fd]
+                os.close(fd)
+                pid = pids[j - 1]
+                codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                lost = WorkerError(f"cross-validate worker {pid} ended before "
+                                   f"sending all its results")
+                results.update((i, (False, lost)) for i in held.pop(j, ()))
+                continue
+            unread += chunk
+            while len(unread) >= 4:
+                end = 4 + int.from_bytes(unread[:4], "little")
+                if len(unread) < end:
+                    break
+                k, ok, value = pickle.loads(unread[4:end])
+                del unread[:end]
+                if ok is None:
+                    held[j] = range(k, value)
+                else:
+                    results[k] = ok, value
+                    held[j] = range(k + 1, held[j].stop)
+                    ran[j] += 1
+
+    claims, tokens = os.pipe()
     try:
-        for j in range(workers):
+        try:
+            os.write(tokens, np.arange(0, total, per, dtype="<u4").tobytes())
+        finally:
+            os.close(tokens)  # so a drained pipe reads as end of file, never blocking
+        for j in range(1, workers):
             read_fd, write_fd = os.pipe()
-            readers.append(open(read_fd, "rb"))
+            pipes[read_fd] = j, bytearray()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(run, items[j::workers], write_fd)
+                    _serve(run, items, claims, per, write_fd)
                 pids.append(pid)
             finally:
                 # with only the child holding the write end, its death
                 # reads as end of file
                 os.close(write_fd)
-        for k in range(len(items)):
-            try:
-                ok, value = pickle.load(readers[k % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise WorkerError(
-                    f"cross-validate worker {pids[k % workers]} ended before "
-                    f"sending all its results") from None
-            if not ok:
-                raise value
-            yield value
+        k, mine, claiming = 0, range(0), True
+        while k < total:
+            if not mine and claiming:
+                mine = _claim(claims, per, total)
+                claiming = bool(mine)
+            if k in results:
+                ok, value = results.pop(k)
+                if not ok:
+                    raise value
+                yield value
+                k += 1
+            elif mine:
+                ok, value = _attempt(run, items[mine[0]])
+                results[mine[0]] = ok, value
+                ran[0] += 1
+                if ok:
+                    mine = mine[1:]
+                else:
+                    mine, claiming = range(0), False
+                if pipes:
+                    read_records(0)
+            elif pipes:
+                read_records(None)
+            else:
+                # every process is done and item k was never announced: its
+                # claimant ended between taking its token and saying so
+                dead = next((pid for pid in pids if codes[pid]), None)
+                raise WorkerError(f"cross-validate worker {dead} ended before "
+                                  f"sending all its results")
         received = True
     finally:
-        if not received:
+        alive = [pid for pid in pids if pid not in codes]
+        if alive and not received:
             import signal
 
-            for pid in pids:
+            for pid in alive:
                 os.kill(pid, signal.SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        for reader in readers:
-            reader.close()
-    failed = [code for code in codes if code]
+        for pid in alive:
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for fd in [claims, *pipes]:
+            os.close(fd)
+    failed = [codes[pid] for pid in pids if codes[pid]]
     if failed:
         raise WorkerError(f"a cross-validate worker exited with status {failed[0]}")
 
@@ -542,14 +644,17 @@ def cross_validate(field: Field, *, scope: str = "all",
 
     ``workers`` None means ``default_workers()``; anything but an integer
     of at least 1 (a bool included), or more than 1 on a platform without
-    ``os.fork``, raises ValueError before any work.  One worker runs the
-    oracle in this process.  More are forked children, at most one per
-    orbit, each taking every workers-th orbit in turn, so the shares
-    differ by at most one orbit; this process runs no oracle and checks
-    the verdicts in orbit order as they arrive.  An exception raised in a
-    worker is raised here with its type and message; a worker that dies
-    raises WorkerError.  Every worker is reaped before the call returns
-    or raises, and killed first when the run stops early.
+    ``os.fork``, raises ValueError before any work.  That many processes,
+    at most one per orbit, run the oracle (``_forked_results``): this one
+    and forked children, each claiming the next unclaimed orbit from one
+    shared queue, so a slow-starting child takes fewer orbits and on a
+    small field this process may run them all; one worker forks nothing.
+    The verdicts are checked in orbit order as they become known.  An
+    exception raised in any process is raised here with its type and
+    message; a child that dies raises WorkerError.  Every child is reaped
+    before the call returns or raises, and killed first when the run stops
+    early.  One DEBUG record then gives the orbits each process ran, this
+    one first.
     """
     if scope not in ("all", "filtered"):
         raise ValueError(f"scope must be 'all' or 'filtered', not {scope!r}")
@@ -575,11 +680,12 @@ def cross_validate(field: Field, *, scope: str = "all",
                 field.literal, scope, len(rgs), len(firsts))
 
     reps = list(enumerate_partitions(field, rgs[firsts]))
-    workers = min(workers, len(reps))
+    workers = max(1, min(workers, len(reps)))
+    ran = [0] * workers
     orbit_schurian = np.zeros(len(firsts), dtype=bool)
     aut_orders = []
     run = functools.partial(_oracle_worker, oracle_cap=oracle_cap)
-    produced = _forked_results(run, reps, workers) if workers > 1 else map(run, reps)
+    produced = _forked_results(run, reps, workers, ran)
     try:
         for k, (found, aut_order) in enumerate(produced):
             holds = condition_holds(reps[k])
@@ -595,9 +701,10 @@ def cross_validate(field: Field, *, scope: str = "all",
             orbit_schurian[k] = found
             aut_orders.append(aut_order)
     finally:
-        if workers > 1:
-            # on an abort, kill and reap the workers now, not at collection
-            produced.close()
+        # on an abort, kill and reap the workers now, not at collection
+        produced.close()
+    logger.debug("cross-validate %s: orbits per process %s",
+                 field.literal, ", ".join(map(str, ran)))
 
     schurian = orbit_schurian[orbit]
     return CrossValidation(

@@ -300,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   f"(default {DEFAULT_ORACLE_CAP})")
         if workers:
             cmd.add_argument("--workers", type=int, metavar="N", default=None,
-                             help="worker processes (default: the CPUs "
-                                  "this process may use; 1 runs the "
-                                  "oracle in this process)")
+                             help="processes running the oracle, this "
+                                  "one and N - 1 forked children, each "
+                                  "claiming the next orbit (default: the "
+                                  "CPUs this process may use; 1 forks "
+                                  "nothing)")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json",
                          help="output format (tsv only for the table commands)")
         cmd.add_argument("--output", metavar="PATH", default=None,

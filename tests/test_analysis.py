@@ -528,8 +528,8 @@ def test_cross_validate_scope_filtered_and_workers(monkeypatch):
     rgs = partition_array(field)
     assert seq.rows.dtype == np.int8
     assert np.array_equal(seq.rows, rgs[condition_mask(field, rgs)])
-    # the filtered scope has 2 orbits and "all" has 13: 5 workers leave
-    # 3 with nothing to do, and 3 split the 13 orbits 5/4/4
+    # the filtered scope has 2 orbits and "all" has 13: 5 workers become
+    # 2 processes, and 3 race for the 13 orbits
     for scope, workers in (("filtered", 2), ("filtered", 5), ("all", 3)):
         seq = cross_validate(field, scope=scope, workers=1)
         par = cross_validate(field, scope=scope, workers=workers)
@@ -700,34 +700,48 @@ def test_cross_validate_aborts_per_orbit(monkeypatch):
         assert_no_child_left()
 
 
+def _in_a_child(parent_pid, then, otherwise, pause=0.02):
+    """A stand-in for a worker function that calls ``then`` in a forked
+    child and ``otherwise`` in this process, after a pause that leaves the
+    children time to claim items."""
+    def run(*args, **kwargs):
+        if os.getpid() != parent_pid:
+            return then(*args, **kwargs)
+        time.sleep(pause)
+        return otherwise(*args, **kwargs)
+    return run
+
+
 def test_a_worker_exception_reaches_the_parent(monkeypatch):
-    # the oracle's own alarm, raised in a forked worker on the first orbit
-    # (the one-class ring) while the other worker is still running
+    # the oracle's own alarm, raised in a forked child on the first orbit
+    # it claims while this process is still running its own, and then
+    # raised in this process on its first orbit while the child runs
+    def alarm(basis, *, cap):
+        raise InconsistencyError("stabilizer orbit (1, 2) straddles classes [1, 2]")
+
     field = make_field(5, 1)
-    target = SchurBasis.from_partition(one_class_partition(field))
     real = analysis.schurian_test
-
-    def alarmed(basis, *, cap):
-        if basis == target:
-            raise InconsistencyError("stabilizer orbit (1, 2) straddles classes [1, 2]")
-        return real(basis, cap=cap)
-
-    monkeypatch.setattr(analysis, "schurian_test", alarmed)
-    with pytest.raises(InconsistencyError) as info:
-        cross_validate(field, workers=2)
-    assert type(info.value) is InconsistencyError
-    assert str(info.value) == "stabilizer orbit (1, 2) straddles classes [1, 2]"
-    assert_no_child_left()
+    for alarmed in (_in_a_child(os.getpid(), alarm, real),
+                    _in_a_child(os.getpid(), real, alarm)):
+        monkeypatch.setattr(analysis, "schurian_test", alarmed)
+        with pytest.raises(InconsistencyError) as info:
+            cross_validate(field, workers=2)
+        assert type(info.value) is InconsistencyError
+        assert str(info.value) == "stabilizer orbit (1, 2) straddles classes [1, 2]"
+        assert_no_child_left()
 
 
 def test_forked_workers_freeze_what_they_inherit(monkeypatch):
-    # a collection in a worker would write to every object it inherited, and
-    # so copy the parent's pages; each worker reports its frozen count
-    monkeypatch.setattr(analysis, "_oracle_worker",
-                        lambda pi, oracle_cap: (False, gc.get_freeze_count()))
+    # a collection in a child would write to every object it inherited, and
+    # so copy the parent's pages; each child reports its frozen count, and
+    # this process, which freezes nothing, reports -1
+    monkeypatch.setattr(analysis, "_oracle_worker", _in_a_child(
+        os.getpid(), lambda pi, oracle_cap: (False, gc.get_freeze_count()),
+        lambda pi, oracle_cap: (False, -1)))
     table = cross_validate(make_field(3, 1), workers=2)
-    assert len(table.aut_orders) > 1
-    assert min(table.aut_orders) > gc.get_freeze_count() + 1000
+    counts = [count for count in table.aut_orders if count != -1]
+    assert counts
+    assert min(counts) > gc.get_freeze_count() + 1000
     assert_no_child_left()
 
 
@@ -777,18 +791,15 @@ def test_cross_validate_takes_only_a_worker_count_of_at_least_one(monkeypatch):
     assert cross_validate(make_field(3, 1), workers=np.int64(1)).total == 15
 
 
-_real_worker = analysis._oracle_worker
-
-
-def _worker_dying_on_one_class(pi, oracle_cap):
-    if len(pi.classes) == 1:
-        os._exit(1)  # no exception, no cleanup: as if killed
-    return _real_worker(pi, oracle_cap)
+def _die(*args, **kwargs):
+    os._exit(1)  # no exception, no cleanup: as if killed
 
 
 def test_a_dead_worker_breaks_the_run(monkeypatch):
-    # the pool used to lose the dead worker's task and wait for it forever
-    monkeypatch.setattr(analysis, "_oracle_worker", _worker_dying_on_one_class)
+    # the pool used to lose the dead worker's task and wait for it forever;
+    # the child dies on the first orbit it claims
+    monkeypatch.setattr(analysis, "_oracle_worker",
+                        _in_a_child(os.getpid(), _die, analysis._oracle_worker))
     start = time.perf_counter()
     with pytest.raises(WorkerError, match="ended before sending all its results"):
         cross_validate(make_field(3, 1), workers=2)
@@ -800,4 +811,66 @@ def test_a_dead_worker_breaks_the_run(monkeypatch):
     monkeypatch.setattr(analysis.os, "_exit", lambda status: real_exit(3))
     with pytest.raises(WorkerError, match="exited with status 3"):
         cross_validate(make_field(3, 1), workers=2)
+    assert_no_child_left()
+
+
+def test_a_dead_child_is_reported_at_its_orbits_turn(monkeypatch):
+    # the child announces each orbit it claims, so its death is raised at
+    # that orbit's turn, not after this process has run the other 11
+    # orbits of 5^1 at 0.3 s each
+    monkeypatch.setattr(analysis, "_oracle_worker", _in_a_child(
+        os.getpid(), _die, analysis._oracle_worker, pause=0.3))
+    start = time.perf_counter()
+    with pytest.raises(WorkerError, match="ended before sending all its results"):
+        cross_validate(make_field(5, 1), workers=2)
+    assert time.perf_counter() - start < 2
+    assert_no_child_left()
+
+
+def test_the_queue_outgrows_one_token_write():
+    # 5000 items need more tokens than one PIPE_BUF write holds, so each
+    # token stands for a run of items; every result arrives once, in order
+    ran = [0, 0, 0]
+    start = time.perf_counter()
+    results = list(analysis._forked_results(lambda k: k * k, range(5000), 3, ran))
+    assert results == [k * k for k in range(5000)]
+    assert sum(ran) == 5000
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_this_process_stops_the_children(monkeypatch):
+    # a KeyboardInterrupt is no Exception: it leaves the run at once, from
+    # this process's own orbit, and the children are killed and reaped
+    def interrupt(pi, oracle_cap):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "_oracle_worker", _in_a_child(
+        os.getpid(), lambda pi, oracle_cap: time.sleep(60), interrupt))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(make_field(5, 1), workers=3)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked for a one-worker run")
+    monkeypatch.setattr(analysis.os, "fork", no_fork)
+    table = cross_validate(make_field(5, 1), scope="all", workers=1)
+    assert len(table.aut_orders) == 13
+
+
+def test_the_orbits_each_process_ran_are_logged(caplog):
+    # one DEBUG record after the run, this process first; the shares race,
+    # so only their number and sum are fixed
+    caplog.set_level(logging.DEBUG, logger="schurcensus.analysis")
+    cross_validate(make_field(5, 1), workers=2)
+    [message] = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG and r.name == "schurcensus.analysis"]
+    prefix, shares = message.split(": orbits per process ")
+    assert prefix == "cross-validate 5^1"
+    assert len(shares.split(", ")) == 2
+    assert sum(map(int, shares.split(", "))) == 13
     assert_no_child_left()

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -556,12 +557,18 @@ def test_inconsistency_exits_1(monkeypatch, capsys):
     assert "inconsistency" in capsys.readouterr().err
 
 
-def _dying_worker(pi, oracle_cap):
-    os._exit(1)
-
-
 def test_dead_worker_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(analysis, "_oracle_worker", _dying_worker)
+    # the child dies on the first orbit it claims; this process pauses on
+    # its own, so that a child claims one
+    parent, real = os.getpid(), analysis._oracle_worker
+
+    def dying(pi, oracle_cap):
+        if os.getpid() != parent:
+            os._exit(1)
+        time.sleep(0.02)
+        return real(pi, oracle_cap)
+
+    monkeypatch.setattr(analysis, "_oracle_worker", dying)
     assert cli.main(["cross-validate", "--field", "3^1", "--workers", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -51,9 +51,14 @@ def test_a_pooled_run_loads_no_pool_machinery():
            "schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
            "print(sorted(m for m in ('concurrent.futures', 'concurrent.futures.process',"
            " 'multiprocessing', 'signal') if m in sys.modules))")
-    death = ("import os, sys, schurcensus\n"
+    # the child dies on the first orbit it claims; the parent pauses on its
+    # own, so that a child claims one
+    death = ("import os, sys, time, schurcensus\n"
              "from schurcensus import analysis\n"
-             "analysis._oracle_worker = lambda pi, oracle_cap: os._exit(1)\n"
+             "parent, real = os.getpid(), analysis._oracle_worker\n"
+             "analysis._oracle_worker = lambda pi, oracle_cap: (\n"
+             "    os._exit(1) if os.getpid() != parent\n"
+             "    else time.sleep(0.02) or real(pi, oracle_cap))\n"
              "try:\n"
              "    schurcensus.cross_validate(schurcensus.make_field(3, 1), workers=2)\n"
              "except schurcensus.WorkerError:\n"
